@@ -14,7 +14,7 @@
       ioctl devices, panic)
     - {!Vm}: the KIR interpreter that runs module code
     - {!Policy}: the policy module — [carat_guard], the 64-entry region
-      table, and the alternative structures
+      table, its page shadow, and the splay and interval trees
     - {!Nic}: the e1000e-class device model and the KIR driver
     - {!Net}: raw-frame workload generation and the sendmsg path
     - {!Fault}: seeded fault-injection campaigns and containment checking

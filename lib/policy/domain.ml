@@ -176,25 +176,17 @@ let destroy_domain t id =
 (* ------------------------------------------------------------------ *)
 (* generational mutation: build a successor, swap one pointer *)
 
-(* Build a fresh instance holding [rs]; Error = typed errno, live
-   generation untouched. Promotion to the interval tier happens here,
-   when the target region count first exceeds the fast path. *)
-let build t (d : dom) rs : (Structure.instance * bool, int) result =
+(* Build a fresh instance holding [rs]; on Error the live generation is
+   untouched. Promotion to the interval tier happens here, when the
+   target region count first exceeds the fast path. *)
+let build t (d : dom) rs :
+    (Structure.instance * bool, Structure.add_error) result =
   let n = List.length rs in
-  if n > t.big_capacity then Error Kernel.enospc
+  if n > t.big_capacity then Error (Structure.Full t.big_capacity)
   else begin
     let itree = d.d_itree || n > t.fast_capacity in
     let inst = make_instance t ~itree in
-    let rec go = function
-      | [] -> Ok (inst, itree)
-      | r :: rest -> (
-        match Structure.add inst r with
-        | Ok () -> go rest
-        | Error e ->
-          if Structure.is_capacity_error e then Error Kernel.enospc
-          else Error Kernel.einval)
-    in
-    go rs
+    Result.map (fun () -> (inst, itree)) (Structure.add_all inst rs)
   end
 
 (* Install a fully-built successor: one pointer store + epoch bump, the
@@ -226,7 +218,7 @@ let install_regions t ~domain rs : int =
   | Some d -> (
     let target = d.d_regions @ rs in
     match build t d target with
-    | Error e -> e
+    | Error e -> Structure.errno e
     | Ok (inst, itree) ->
       publish t d inst ~itree ~regions:target;
       0)
@@ -249,7 +241,7 @@ let remove_region t ~domain ~base : int =
       in
       let target = drop_first d.d_regions in
       match build t d target with
-      | Error e -> e
+      | Error e -> Structure.errno e
       | Ok (inst, itree) ->
         publish t d inst ~itree ~regions:target;
         0

@@ -38,19 +38,19 @@
     CPU only ever observes a fully-built table — never a half-written
     entry. Grace-period tracking and IPI shootdown live in [Smp.Rcu]. *)
 
-type kind = Linear | Sorted | Splay | Rbtree | Itree | Bloom | Cached | Shadow
+(** One structure per trade-off PAPER §3.1 discusses: the evaluated
+    cache-friendly scan ({!Linear}), adaptive pointer chasing ({!Splay}),
+    logarithmic with overlaps ({!Itree}, the {!Domain} tier past 64
+    regions), and the page shadow in front of the scan ({!Shadow}). *)
+type kind = Linear | Splay | Itree | Shadow
 
 let kind_to_string = function
   | Linear -> "linear"
-  | Sorted -> "sorted"
   | Splay -> "splay"
-  | Rbtree -> "rbtree"
   | Itree -> "interval"
-  | Bloom -> "bloom+linear"
-  | Cached -> "cached+linear"
   | Shadow -> "shadow+linear"
 
-let all_kinds = [ Linear; Sorted; Splay; Rbtree; Itree; Bloom; Cached; Shadow ]
+let all_kinds = [ Linear; Splay; Itree; Shadow ]
 
 (** Decision statistics. Tier-invariant: a fast-tier (inline-cache) hit
     credits the same [entries_scanned] the exact walk would have
@@ -168,18 +168,10 @@ let make_instance kernel kind ~capacity : Structure.instance =
   match kind with
   | Linear ->
     Structure.I ((module Linear_table), Linear_table.create kernel ~capacity)
-  | Sorted ->
-    Structure.I ((module Sorted_table), Sorted_table.create kernel ~capacity)
   | Splay ->
     Structure.I ((module Splay_tree), Splay_tree.create kernel ~capacity)
-  | Rbtree ->
-    Structure.I ((module Rb_tree), Rb_tree.create kernel ~capacity)
   | Itree ->
     Structure.I ((module Interval_tree), Interval_tree.create kernel ~capacity)
-  | Bloom ->
-    Structure.I ((module Bloom_front), Bloom_front.create kernel ~capacity)
-  | Cached ->
-    Structure.I ((module Lookup_cache), Lookup_cache.create kernel ~capacity)
   | Shadow ->
     Structure.I ((module Shadow_table), Shadow_table.create kernel ~capacity)
 
@@ -393,7 +385,8 @@ let set_policy t rs =
     (fun r ->
       match add_region t r with
       | Ok () -> ()
-      | Error e -> invalid_arg ("Engine.set_policy: " ^ e))
+      | Error e ->
+        invalid_arg ("Engine.set_policy: " ^ Structure.add_error_to_string e))
     rs
 
 (* ------------------------------------------------------------------ *)
@@ -405,16 +398,12 @@ let generation t = t.generation
     fresh structure of the engine's kind/capacity holding [rs] — without
     touching the live one. Construction cost (allocation + entry stores)
     is charged to the calling CPU's machine, like the writer building the
-    new table before publishing. *)
-let build_instance t rs : Structure.instance =
+    new table before publishing. The first refused add aborts the build;
+    the half-built successor was never reachable, so it is simply
+    dropped. *)
+let build_instance t rs : (Structure.instance, Structure.add_error) result =
   let inst = make_instance t.kernel t.active_kind ~capacity:t.capacity in
-  List.iter
-    (fun r ->
-      match Structure.add inst r with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Engine.build_instance: " ^ e))
-    rs;
-  inst
+  Result.map (fun () -> inst) (Structure.add_all inst rs)
 
 (** Install a fully-built generation with a single pointer store and bump
     the epoch (invalidating every view's fast tiers). Readers switch

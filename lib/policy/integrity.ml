@@ -86,11 +86,12 @@ type t = {
   mutable auth_regions : Region.t list;
   mutable auth_default : bool;
   mutable auth_digest : int;
-  mutable route : Region.t list -> bool -> unit;
+  mutable route : Region.t list -> bool -> int;
       (** rebuild publisher: installs a fresh instance built from the
-          authoritative copy. The policy module points this at its
-          mutation router so SMP runs rebuild through the RCU publish
-          path; the default publishes directly (single-CPU). *)
+          authoritative copy and returns 0 or a negative errno. The
+          policy module points this at its mutation router so SMP runs
+          rebuild through the RCU publish path; the default publishes
+          directly (single-CPU). *)
   ic : cell;
   shadow : cell;
   inst : cell;
@@ -130,8 +131,11 @@ let create ?(config = default_config) engine =
       auth_digest = 0;
       route =
         (fun rs d ->
-          let inst = Engine.build_instance engine rs in
-          ignore (Engine.publish engine inst ~default_allow:d));
+          match Engine.build_instance engine rs with
+          | Ok inst ->
+            ignore (Engine.publish engine inst ~default_allow:d);
+            0
+          | Error e -> Structure.errno e);
       ic = make_cell Ic;
       shadow = make_cell Shadow_tier;
       inst = make_cell Instance;
@@ -267,8 +271,9 @@ let flush_all_ics t =
 (* Publish a fresh instance of the engine's *active* kind built from the
    authoritative copy. Every degraded/rebuilt service change goes through
    here, so no check is ever served from a structure that was found
-   corrupt. *)
-let publish_auth t = t.route t.auth_regions t.auth_default
+   corrupt. A refused rebuild leaves the live generation in place; the
+   re-audit then still finds it corrupt and the retry back-off applies. *)
+let publish_auth t = ignore (t.route t.auth_regions t.auth_default)
 
 let degrade t (c : cell) =
   c.c_detected <- c.c_detected + 1;

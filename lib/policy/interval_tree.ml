@@ -4,7 +4,7 @@
     maximum region limit of its subtree, so a stabbing query prunes every
     subtree that provably ends before the probed address).
 
-    Unlike the sorted/splay/rbtree structures, this one represents
+    Unlike the splay tree, this one represents
     overlapping and duplicate-base regions: nodes carry their insertion
     sequence number and [lookup] answers the containing region with the
     smallest sequence — exactly the linear table's first-match-wins
@@ -124,7 +124,7 @@ let rec insert_node t (cur : node option) (nw : node) : node =
     fixup t c
 
 let add t (r : Region.t) =
-  if t.n >= t.capacity then Error (Structure.capacity_error t.capacity)
+  if t.n >= t.capacity then Error (Structure.Full t.capacity)
   else begin
     let vaddr = Kernel.kmalloc t.kernel ~size:node_size in
     Kernel.write t.kernel ~addr:vaddr ~size:8 r.Region.base;
@@ -178,9 +178,8 @@ let remove t ~base =
       (fun (r : Region.t) ->
         if (not !removed) && r.Region.base = base then removed := true
         else
-          match add t r with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Interval_tree.remove rebuild: " ^ e))
+          (* a subset of regions the structure already held always fits *)
+          match add t r with Ok () -> () | Error _ -> assert false)
       rs;
     true
   end

@@ -41,7 +41,7 @@ let write_entry t i (r : Region.t) =
   Kernel.write t.kernel ~addr:(a + 16) ~size:8 r.Region.prot
 
 let add t r =
-  if t.n >= t.capacity then Error (Structure.capacity_error t.capacity)
+  if t.n >= t.capacity then Error (Structure.Full t.capacity)
   else begin
     write_entry t t.n r;
     t.entries.(t.n) <- r;

@@ -306,8 +306,8 @@ let apply_in_place t (m : mutation) : int =
     | Ok () -> 0
     | Error e ->
       Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
-        "carat ioctl add: %s" e;
-      if Structure.is_capacity_error e then Kernel.enospc else -1)
+        "carat ioctl add: %s" (Structure.add_error_to_string e);
+      Structure.errno e)
   | M_remove base -> if Engine.remove_region t.engine ~base then 0 else -1
   | M_clear ->
     Engine.clear t.engine;
@@ -342,10 +342,9 @@ let apply_in_place t (m : mutation) : int =
                caller observes all-or-nothing, matching the RCU route *)
             Engine.set_policy t.engine snapshot;
             Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
-              "carat ioctl install: %s (batch of %d rolled back)" e
-              (List.length rs);
-            if Structure.is_capacity_error e then Kernel.enospc
-            else Kernel.einval)
+              "carat ioctl install: %s (batch of %d rolled back)"
+              (Structure.add_error_to_string e) (List.length rs);
+            Structure.errno e)
       in
       go rs
     end
@@ -353,10 +352,12 @@ let apply_in_place t (m : mutation) : int =
     Engine.set_policy t.engine rs;
     Engine.set_default_allow t.engine default_allow;
     0
-  | M_rebuild (rs, default_allow) ->
-    let inst = Engine.build_instance t.engine rs in
-    ignore (Engine.publish t.engine inst ~default_allow);
-    0
+  | M_rebuild (rs, default_allow) -> (
+    match Engine.build_instance t.engine rs with
+    | Ok inst ->
+      ignore (Engine.publish t.engine inst ~default_allow);
+      0
+    | Error e -> Structure.errno e)
 
 (** Route a control-plane mutation: through the registered mutator (the
     SMP RCU publish path) when one is installed, in place otherwise. *)
@@ -385,7 +386,7 @@ let enable_integrity ?config t =
   | Some ig -> ig
   | None ->
     let ig = Integrity.create ?config t.engine in
-    Integrity.set_route ig (fun rs d -> ignore (apply t (M_rebuild (rs, d))));
+    Integrity.set_route ig (fun rs d -> apply t (M_rebuild (rs, d)));
     t.integrity <- Some ig;
     ig
 

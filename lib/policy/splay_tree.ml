@@ -6,8 +6,8 @@
     Nodes live in kernel memory (40 bytes: base, len, prot, left, right),
     so a lookup is genuine pointer chasing through the cache model; the
     splay step rewrites parent pointers (stores). A hot region settles at
-    the root and costs one probe. Overlapping regions are rejected, same
-    as the sorted table. *)
+    the root and costs one probe. Overlapping regions are rejected with
+    {!Structure.Overlap}. *)
 
 type node = {
   mutable region : Region.t;
@@ -82,15 +82,12 @@ let splay t key (root : node option) : node option =
     Some (go root)
 
 let rec insert_no_splay (t : t) (cur : node option) (n : node) :
-    (node, string) result =
+    (node, Structure.add_error) result =
   match cur with
   | None -> Ok n
   | Some c ->
     if Region.overlaps c.region n.region then
-      Error
-        (Printf.sprintf "splay tree cannot hold overlapping regions (%s vs %s)"
-           (Region.to_string n.region)
-           (Region.to_string c.region))
+      Error (Structure.Overlap (n.region, c.region))
     else if n.region.Region.base < c.region.Region.base then (
       match insert_no_splay t c.left n with
       | Ok l ->
@@ -107,7 +104,7 @@ let rec insert_no_splay (t : t) (cur : node option) (n : node) :
       | Error _ as e -> e)
 
 let add t r =
-  if t.n >= t.capacity then Error (Structure.capacity_error t.capacity)
+  if t.n >= t.capacity then Error (Structure.Full t.capacity)
   else begin
     let n = alloc_node t r in
     match insert_no_splay t t.root n with
@@ -141,9 +138,8 @@ let remove t ~base =
       (fun r ->
         if (not !removed) && r.Region.base = base then removed := true
         else
-          match add t r with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Splay_tree.remove rebuild: " ^ e))
+          (* a subset of regions the structure already held always fits *)
+          match add t r with Ok () -> () | Error _ -> assert false)
       rs;
     true
   end

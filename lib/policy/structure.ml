@@ -3,10 +3,12 @@
     Every implementation stores its entries in *simulated kernel memory*
     and performs its probes through {!Kernel.read}/{!Kernel.write}, so the
     cost of a policy lookup is mechanistic: the linear table is
-    prefetch-friendly and branch-predictable, binary search has data-
-    dependent branches, the splay tree chases pointers, the Bloom filter
-    scatters probes. This is how the repo reproduces the paper's §3.1/§4.2
-    discussion of structure trade-offs rather than asserting it. *)
+    prefetch-friendly and branch-predictable, the splay tree chases
+    pointers and restructures on every hit, the interval tree prunes a
+    balanced tree by subtree limit, the shadow table answers a whole page
+    from one hot slot. This is how the repo reproduces the paper's
+    §3.1/§4.2 discussion of structure trade-offs rather than asserting
+    it. *)
 
 type outcome = {
   matched : Region.t option;  (** first region containing the range *)
@@ -22,22 +24,21 @@ type repr = ..
 
 type repr += Opaque
 
-(** Canonical capacity-exhaustion error. Every structure returns exactly
-    this string from [add] when it is full, so callers (the ioctl layer,
-    the RCU publish path) can map it to a typed [-ENOSPC] instead of a
-    blanket [-1] — see {!is_capacity_error}. *)
-let capacity_error capacity =
-  Printf.sprintf "policy table full (%d regions)" capacity
+(** Why an [add] was refused. [Full capacity]: the structure already
+    holds [capacity] regions. [Overlap (added, existing)]: the structure
+    cannot represent two overlapping regions (the splay tree's
+    trade-off), and [added] overlaps [existing]. *)
+type add_error = Full of int | Overlap of Region.t * Region.t
 
-let capacity_error_marker = "policy table full"
+let add_error_to_string = function
+  | Full capacity -> Printf.sprintf "policy table full (%d regions)" capacity
+  | Overlap (added, existing) ->
+    Printf.sprintf "cannot hold overlapping regions (%s vs %s)"
+      (Region.to_string added) (Region.to_string existing)
 
-(* substring search, because intermediaries (Engine.build_instance) wrap
-   the structure's message in their own context prefix *)
-let is_capacity_error msg =
-  let m = capacity_error_marker in
-  let lm = String.length m and ln = String.length msg in
-  let rec at i = i + lm <= ln && (String.sub msg i lm = m || at (i + 1)) in
-  at 0
+(** The ioctl return code for a refused add: [-ENOSPC] when the table is
+    full, [-EINVAL] for a region the structure cannot represent. *)
+let errno = function Full _ -> Kernel.enospc | Overlap _ -> Kernel.einval
 
 module type S = sig
   type t
@@ -45,10 +46,10 @@ module type S = sig
   val name : string
   val create : Kernel.t -> capacity:int -> t
 
-  val add : t -> Region.t -> (unit, string) result
+  val add : t -> Region.t -> (unit, add_error) result
   (** Append/insert a rule. Implementations that cannot represent
-      overlapping regions (sorted table, splay tree — the trade-off the
-      paper calls out) return [Error] on overlap. *)
+      overlapping regions (the splay tree — the trade-off the paper calls
+      out) return [Error (Overlap _)]. *)
 
   val remove : t -> base:int -> bool
   val clear : t -> unit
@@ -81,3 +82,9 @@ let regions (I ((module M), t)) = M.regions t
 let lookup (I ((module M), t)) ~addr ~size = M.lookup t ~addr ~size
 let table_region (I ((module M), t)) = M.table_region t
 let repr (I ((module M), t)) = M.repr t
+
+(** Add [rs] in order, stopping at the first refused add. *)
+let rec add_all inst = function
+  | [] -> Ok ()
+  | r :: rest -> (
+    match add inst r with Ok () -> add_all inst rest | Error _ as e -> e)

@@ -226,13 +226,12 @@ let quiesce t cpu =
 let publish_regions t rs ~default_allow =
   let old_regions = Policy.Engine.regions t.engine in
   match Policy.Engine.build_instance t.engine rs with
-  | exception Invalid_argument msg ->
+  | Error e ->
     (* the successor never became reachable, so the live generation is
-       untouched — a failed publish (capacity or otherwise) rolls back
-       the whole mutation by construction; surface capacity exhaustion
-       as the typed -ENOSPC the ioctl contract promises *)
-    if Policy.Structure.is_capacity_error msg then Kernel.enospc else -1
-  | inst ->
+       untouched — a failed publish rolls back the whole mutation by
+       construction, with the same errno the in-place route returns *)
+    Policy.Structure.errno e
+  | Ok inst ->
     let old = Policy.Engine.publish t.engine inst ~default_allow in
     note_publish t ~old_regions ~new_regions:rs;
     t.pending <-

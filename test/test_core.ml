@@ -121,7 +121,7 @@ let test_transform_accounting () =
 let test_policy_bench_runs () =
   let pts =
     Experiments.policy_structure_bench ~checks:300 ~region_counts:[ 2; 8 ]
-      ~kinds:[ Policy.Engine.Linear; Policy.Engine.Cached ]
+      ~kinds:[ Policy.Engine.Linear; Policy.Engine.Splay ]
       ~placements:[ Experiments.Rule_last ] ()
   in
   checki "four points" 4 (List.length pts);

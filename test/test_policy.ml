@@ -120,12 +120,9 @@ let gen_probe = QCheck.Gen.(tup2 (int_range 0 3000) (int_range 1 8))
 
 let mk_instance k kind regions =
   let inst = Policy.Engine.make_instance k kind ~capacity:64 in
-  List.iter
-    (fun r ->
-      match Policy.Structure.add inst r with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "add: %s" e)
-    regions;
+  (match Policy.Structure.add_all inst regions with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "add: %s" (Policy.Structure.add_error_to_string e));
   inst
 
 let equivalence_prop kind =
@@ -141,90 +138,20 @@ let equivalence_prop kind =
         (fun (addr, size) ->
           let a = Policy.Structure.lookup reference ~addr ~size in
           let b = Policy.Structure.lookup candidate ~addr ~size in
-          match (a.Policy.Structure.matched, b.Policy.Structure.matched) with
-          | None, None -> true
-          | Some ra, Some rb ->
-            (* bloom's fast path may report a synthetic covering region;
-               what must agree is the allow/deny verdict for full rw *)
-            Policy.Region.permits ra ~flags:Policy.Region.prot_rw
-            = Policy.Region.permits rb ~flags:Policy.Region.prot_rw
-            || rb.Policy.Region.tag = "bloom-fastpath"
-          | _ -> false)
+          (* on disjoint regions the containing region is unique *)
+          a.Policy.Structure.matched = b.Policy.Structure.matched)
         probes)
 
-let prop_sorted_equiv = equivalence_prop Policy.Engine.Sorted
 let prop_splay_equiv = equivalence_prop Policy.Engine.Splay
-let prop_rbtree_equiv = equivalence_prop Policy.Engine.Rbtree
-let prop_cached_equiv = equivalence_prop Policy.Engine.Cached
 let prop_itree_equiv = equivalence_prop Policy.Engine.Itree
-
-(* rbtree structural invariants hold under random insertion *)
-let prop_rbtree_invariants =
-  QCheck.Test.make ~name:"rbtree invariants" ~count:100
-    (QCheck.make gen_disjoint_regions) (fun regions ->
-      let k = fresh () in
-      let t = Policy.Rb_tree.create k ~capacity:64 in
-      List.iter (fun r -> ignore (Policy.Rb_tree.add t r)) regions;
-      Policy.Rb_tree.validate t = Ok ()
-      && Policy.Rb_tree.count t = List.length regions
-      &&
-      (* in-order traversal is sorted by base *)
-      let bases =
-        List.map (fun r -> r.Policy.Region.base) (Policy.Rb_tree.regions t)
-      in
-      bases = List.sort compare bases)
-
-let test_rbtree_rejects_overlap () =
-  let k = fresh () in
-  let t = Policy.Rb_tree.create k ~capacity:8 in
-  ignore (Policy.Rb_tree.add t (region 0 100));
-  checkb "overlap rejected" true
-    (Result.is_error (Policy.Rb_tree.add t (region 50 100)))
-
-let test_rbtree_logarithmic_scan () =
-  let k = fresh () in
-  let t = Policy.Rb_tree.create k ~capacity:64 in
-  for i = 0 to 63 do
-    ignore (Policy.Rb_tree.add t (region (i * 1000) 100))
-  done;
-  (match Policy.Rb_tree.validate t with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "invalid tree: %s" e);
-  let worst = ref 0 in
-  for i = 0 to 63 do
-    let out = Policy.Rb_tree.lookup t ~addr:((i * 1000) + 50) ~size:4 in
-    checkb "found" true (out.Policy.Structure.matched <> None);
-    if out.Policy.Structure.scanned > !worst then
-      worst := out.Policy.Structure.scanned
-  done;
-  (* a valid red-black tree of 64 nodes is at most 2*log2(65) ~ 12 deep *)
-  checkb "logarithmic depth" true (!worst <= 12)
-
-let test_rbtree_remove () =
-  let k = fresh () in
-  let t = Policy.Rb_tree.create k ~capacity:16 in
-  for i = 0 to 7 do
-    ignore (Policy.Rb_tree.add t (region (i * 1000) 100))
-  done;
-  checkb "removed" true (Policy.Rb_tree.remove t ~base:3000);
-  checkb "gone" true
-    ((Policy.Rb_tree.lookup t ~addr:3050 ~size:4).Policy.Structure.matched = None);
-  checki "count" 7 (Policy.Rb_tree.count t);
-  checkb "still valid" true (Policy.Rb_tree.validate t = Ok ())
-
-let test_sorted_rejects_overlap () =
-  let k = fresh () in
-  let t = Policy.Sorted_table.create k ~capacity:8 in
-  ignore (Policy.Sorted_table.add t (region 0 100));
-  checkb "overlap rejected" true
-    (Result.is_error (Policy.Sorted_table.add t (region 50 100)))
 
 let test_splay_rejects_overlap () =
   let k = fresh () in
   let t = Policy.Splay_tree.create k ~capacity:8 in
   ignore (Policy.Splay_tree.add t (region 0 100));
-  checkb "overlap rejected" true
-    (Result.is_error (Policy.Splay_tree.add t (region 50 100)))
+  checkb "overlap rejected, naming both regions" true
+    (Policy.Splay_tree.add t (region 50 100)
+    = Error (Policy.Structure.Overlap (region 50 100, region 0 100)))
 
 let test_splay_popularity () =
   let k = fresh () in
@@ -236,47 +163,6 @@ let test_splay_popularity () =
   ignore (Policy.Splay_tree.lookup t ~addr:12050 ~size:4);
   let second = Policy.Splay_tree.lookup t ~addr:12050 ~size:4 in
   checki "root hit" 1 second.Policy.Structure.scanned
-
-let test_cached_hit_rate () =
-  let k = fresh () in
-  let t = Policy.Lookup_cache.create k ~capacity:16 in
-  for i = 0 to 9 do
-    ignore (Policy.Lookup_cache.add t (region (i * 1000) 100))
-  done;
-  for _ = 1 to 50 do
-    ignore (Policy.Lookup_cache.lookup t ~addr:9050 ~size:4)
-  done;
-  checkb "mostly hits" true (Policy.Lookup_cache.hit_rate t > 0.9)
-
-let test_cached_invalidation () =
-  let k = fresh () in
-  let t = Policy.Lookup_cache.create k ~capacity:16 in
-  ignore (Policy.Lookup_cache.add t (region 1000 100));
-  ignore (Policy.Lookup_cache.lookup t ~addr:1050 ~size:4) (* fill cache *);
-  checkb "removed" true (Policy.Lookup_cache.remove t ~base:1000);
-  checkb "stale entry gone" true
-    ((Policy.Lookup_cache.lookup t ~addr:1050 ~size:4).Policy.Structure.matched = None)
-
-let test_bloom_no_false_negative_for_allowed () =
-  let k = fresh () in
-  let t = Policy.Bloom_front.create k ~capacity:16 in
-  ignore (Policy.Bloom_front.add t (region 0x10000 0x1000));
-  (* first query goes the slow path and seeds the filter; all later
-     queries to the same page must still be allowed *)
-  for _ = 1 to 20 do
-    checkb "allowed" true
-      ((Policy.Bloom_front.lookup t ~addr:0x10100 ~size:8).Policy.Structure.matched <> None)
-  done;
-  checkb "fp estimate sane" true (Policy.Bloom_front.fp_possible t < 0.01)
-
-let test_bloom_clear_resets_filter () =
-  let k = fresh () in
-  let t = Policy.Bloom_front.create k ~capacity:16 in
-  ignore (Policy.Bloom_front.add t (region 0x10000 0x1000));
-  ignore (Policy.Bloom_front.lookup t ~addr:0x10100 ~size:8);
-  Policy.Bloom_front.clear t;
-  checkb "cleared" true
-    ((Policy.Bloom_front.lookup t ~addr:0x10100 ~size:8).Policy.Structure.matched = None)
 
 (* ---------- engine ---------- *)
 
@@ -613,7 +499,7 @@ let test_bounded_retries_then_abandon () =
       ~config:{ Policy.Integrity.cooldown_audits = 1; max_retries = 2 }
       eng
   in
-  Policy.Integrity.set_route ig (fun _ _ -> ());
+  Policy.Integrity.set_route ig (fun _ _ -> 0);
   checkb "instance corrupted" true
     (Policy.Engine.corrupt_instance eng ~base:Kernel.Layout.kernel_base
        ~prot:0);
@@ -814,27 +700,10 @@ let test_linear_mirror_consistency () =
   | Some (vaddr, _) ->
     check_flat_mirror k ~vaddr (Policy.Linear_table.regions t) ~scrubbed_slot:2
 
-let test_sorted_mirror_consistency () =
-  let k = fresh () in
-  let t = Policy.Sorted_table.create k ~capacity:8 in
-  List.iter
-    (fun r -> ignore (Policy.Sorted_table.add t r))
-    [ region ~tag:"c" 300 10; region ~tag:"a" 100 10; region ~tag:"b" 200 10 ];
-  checkb "removed" true (Policy.Sorted_table.remove t ~base:200);
-  match Policy.Sorted_table.table_region t with
-  | None -> Alcotest.fail "sorted table has no kernel extent"
-  | Some (vaddr, _) ->
-    check_flat_mirror k ~vaddr (Policy.Sorted_table.regions t) ~scrubbed_slot:2
-
 (* Differential property over random add/remove/lookup streams: every
    structure kind must agree with the linear reference on remove
-   results, surviving count, and allow/deny verdicts — the canonical
-   remove-first-occurrence semantics across the whole structure zoo. *)
-let verdict_of inst ~addr ~size =
-  match (Policy.Structure.lookup inst ~addr ~size).Policy.Structure.matched with
-  | None -> `Deny
-  | Some r when r.Policy.Region.tag = "bloom-fastpath" -> `Fastpath
-  | Some r -> `Allow (Policy.Region.permits r ~flags:Policy.Region.prot_rw)
+   results, surviving count, and the matched region of every probe —
+   the canonical remove-first-occurrence semantics across every kind. *)
 
 let prop_all_kinds_remove_differential =
   QCheck.Test.make ~name:"all kinds agree across add/remove streams"
@@ -848,8 +717,10 @@ let prop_all_kinds_remove_differential =
       let bases =
         Array.of_list (List.map (fun r -> r.Policy.Region.base) regions)
       in
+      (* one kernel per case: creating one zeroes 64 MiB of simulated
+         memory, and the kinds' tables fit side by side in it *)
+      let k = fresh () in
       let run kind =
-        let k = fresh () in
         let inst = mk_instance k kind regions in
         let rms =
           List.map
@@ -859,7 +730,10 @@ let prop_all_kinds_remove_differential =
             removes
         in
         let vs =
-          List.map (fun (addr, size) -> verdict_of inst ~addr ~size) probes
+          List.map
+            (fun (addr, size) ->
+              (Policy.Structure.lookup inst ~addr ~size).Policy.Structure.matched)
+            probes
         in
         (rms, Policy.Structure.count inst, vs)
       in
@@ -867,8 +741,7 @@ let prop_all_kinds_remove_differential =
       List.for_all
         (fun kind ->
           let rms, n, vs = run kind in
-          rms = ref_rms && n = ref_n
-          && List.for_all2 (fun a b -> a = b || b = `Fastpath) ref_vs vs)
+          rms = ref_rms && n = ref_n && vs = ref_vs)
         Policy.Engine.all_kinds)
 
 (* Duplicate-base semantics, pinned: every structure that accepts two
@@ -883,7 +756,8 @@ let test_duplicate_base_remove () =
         match Policy.Structure.add inst r with
         | Ok () -> ()
         | Error e ->
-          Alcotest.failf "%s add: %s" (Policy.Engine.kind_to_string kind) e
+          Alcotest.failf "%s add: %s" (Policy.Engine.kind_to_string kind)
+            (Policy.Structure.add_error_to_string e)
       in
       ok (region ~tag:"first" ~prot:Policy.Region.prot_read 0x10000 0x1000);
       ok (region ~tag:"second" 0x10000 0x1000);
@@ -900,10 +774,7 @@ let test_duplicate_base_remove () =
       | None ->
         Alcotest.failf "%s: no match after remove"
           (Policy.Engine.kind_to_string kind))
-    [
-      Policy.Engine.Linear; Policy.Engine.Itree; Policy.Engine.Bloom;
-      Policy.Engine.Cached; Policy.Engine.Shadow;
-    ]
+    [ Policy.Engine.Linear; Policy.Engine.Itree; Policy.Engine.Shadow ]
 
 (* Every structure kind at its exact capacity boundary: n = capacity
    fits, capacity + 1 is refused with the typed capacity error, and the
@@ -917,18 +788,20 @@ let test_capacity_boundary_all_kinds () =
       for i = 0 to 7 do
         match Policy.Structure.add inst (region (1000 + (i * 1000)) 100) with
         | Ok () -> ()
-        | Error e -> Alcotest.failf "%s add %d: %s" name i e
+        | Error e ->
+          Alcotest.failf "%s add %d: %s" name i
+            (Policy.Structure.add_error_to_string e)
       done;
       checki (name ^ " at capacity") 8 (Policy.Structure.count inst);
-      (match Policy.Structure.add inst (region 90_000 100) with
-      | Ok () -> Alcotest.failf "%s accepted capacity+1" name
-      | Error e ->
-        checkb (name ^ " typed capacity error") true
-          (Policy.Structure.is_capacity_error e));
+      checkb (name ^ " typed capacity error") true
+        (Policy.Structure.add inst (region 90_000 100)
+        = Error (Policy.Structure.Full 8));
       checkb (name ^ " remove") true (Policy.Structure.remove inst ~base:1000);
       match Policy.Structure.add inst (region 90_000 100) with
       | Ok () -> checki (name ^ " recovered") 8 (Policy.Structure.count inst)
-      | Error e -> Alcotest.failf "%s did not recover: %s" name e)
+      | Error e ->
+        Alcotest.failf "%s did not recover: %s" name
+          (Policy.Structure.add_error_to_string e))
     Policy.Engine.all_kinds
 
 (* ---------- ENOSPC and the batched install ioctl ---------- *)
@@ -1223,22 +1096,10 @@ let () =
         ] );
       ( "alternative-structures",
         [
-          QCheck_alcotest.to_alcotest prop_sorted_equiv;
           QCheck_alcotest.to_alcotest prop_splay_equiv;
-          QCheck_alcotest.to_alcotest prop_rbtree_equiv;
-          QCheck_alcotest.to_alcotest prop_cached_equiv;
           QCheck_alcotest.to_alcotest prop_itree_equiv;
-          QCheck_alcotest.to_alcotest prop_rbtree_invariants;
-          Alcotest.test_case "rbtree rejects overlap" `Quick test_rbtree_rejects_overlap;
-          Alcotest.test_case "rbtree log depth" `Quick test_rbtree_logarithmic_scan;
-          Alcotest.test_case "rbtree remove" `Quick test_rbtree_remove;
-          Alcotest.test_case "sorted rejects overlap" `Quick test_sorted_rejects_overlap;
           Alcotest.test_case "splay rejects overlap" `Quick test_splay_rejects_overlap;
           Alcotest.test_case "splay popularity" `Quick test_splay_popularity;
-          Alcotest.test_case "cached hit rate" `Quick test_cached_hit_rate;
-          Alcotest.test_case "cached invalidation" `Quick test_cached_invalidation;
-          Alcotest.test_case "bloom allowed stays allowed" `Quick test_bloom_no_false_negative_for_allowed;
-          Alcotest.test_case "bloom clear" `Quick test_bloom_clear_resets_filter;
         ] );
       ( "engine",
         [
@@ -1282,8 +1143,6 @@ let () =
         [
           Alcotest.test_case "linear mirror consistency" `Quick
             test_linear_mirror_consistency;
-          Alcotest.test_case "sorted mirror consistency" `Quick
-            test_sorted_mirror_consistency;
           QCheck_alcotest.to_alcotest prop_all_kinds_remove_differential;
           Alcotest.test_case "duplicate-base remove" `Quick
             test_duplicate_base_remove;

@@ -155,11 +155,11 @@ let test_in_place_replace_is_observable () =
         | 2 -> (
           match Policy.Engine.add_region engine r1 with
           | Ok () -> ()
-          | Error e -> Alcotest.fail e)
+          | Error e -> Alcotest.fail (Policy.Structure.add_error_to_string e))
         | 3 -> (
           match Policy.Engine.add_region engine r2 with
           | Ok () -> ()
-          | Error e -> Alcotest.fail e)
+          | Error e -> Alcotest.fail (Policy.Structure.add_error_to_string e))
         | _ -> ());
         !pm_steps < 4);
       (fun () ->
@@ -181,7 +181,7 @@ let test_publish_returns_old_generation () =
   let pm = Policy.Policy_module.install kernel in
   let engine = Policy.Policy_module.engine pm in
   Policy.Policy_module.set_policy pm table_a;
-  let inst = Policy.Engine.build_instance engine table_b in
+  let inst = Result.get_ok (Policy.Engine.build_instance engine table_b) in
   let old = Policy.Engine.publish engine inst ~default_allow:false in
   checki "generation bumped" 1 (Policy.Engine.generation engine);
   (* the retired instance still holds the old table *)
@@ -542,6 +542,32 @@ let test_rcu_install_batch_rollback () =
   checki "no publication for the refused batch" 0
     (Smp.Rcu.stats (Smp.System.rcu smp)).Smp.Rcu.publications
 
+(* A region the structure cannot represent is refused with -EINVAL
+   whichever route the mutation takes: the splay tree rejects overlaps,
+   and the in-place add and batched install (1 CPU) must answer exactly
+   as the RCU publishes (2 CPUs) do, leaving the policy untouched. *)
+let test_overlap_einval_every_route () =
+  let overlap =
+    Policy.Region.v ~base:0x10800 ~len:0x1000 ~prot:Policy.Region.prot_rw ()
+  in
+  List.iter
+    (fun cpus ->
+      let kernel = Kernel.create ~require_signature:false ~seed:7 r350 in
+      let pm = Policy.Policy_module.install ~kind:Policy.Engine.Splay kernel in
+      Policy.Policy_module.set_policy pm table_a;
+      let smp = Smp.System.create ~seed:7 ~params:r350 ~cpus kernel pm in
+      let route = Printf.sprintf "%d cpu" cpus in
+      checki (route ^ " add") Kernel.einval
+        (Policy.Policy_module.apply pm (Policy.Policy_module.M_add overlap));
+      checki (route ^ " install") Kernel.einval
+        (Policy.Policy_module.apply pm
+           (Policy.Policy_module.M_install [ overlap ]));
+      checki (route ^ " policy untouched") 2
+        (Policy.Engine.count (Policy.Policy_module.engine pm));
+      checki (route ^ " nothing published") 0
+        (Smp.Rcu.stats (Smp.System.rcu smp)).Smp.Rcu.publications)
+    [ 1; 2 ]
+
 (* ---------- multi-domain churn under SMP ---------- *)
 
 (* One CPU churns per-domain policies (install / remove / teardown)
@@ -670,6 +696,8 @@ let () =
             test_rcu_install_batch_atomic;
           Alcotest.test_case "refused batch publishes nothing" `Quick
             test_rcu_install_batch_rollback;
+          Alcotest.test_case "overlap is -EINVAL on every route" `Quick
+            test_overlap_einval_every_route;
         ] );
       ( "domains",
         [
