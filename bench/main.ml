@@ -9,11 +9,14 @@
      dune exec bench/main.exe -- --quick  # reduced trial counts
 
    Figures: fig3 fig4 fig5 fig6 fig7; tables/ablations: guards,
-   ablation-policy, ablation-opt; microbenchmarks: bechamel, guardpath;
-   gated suites: guardopt (the certified optimizer, writes
-   BENCH_guardopt.json), smpscale, selfheal, tracegate, certify.
-   Flags: --quick, --json (guardpath writes BENCH_guardpath.json),
-   --engine interp|compiled (execution engine for the fig targets). *)
+   ablation-policy, ablation-opt, ablation-mechanism; microbenchmarks:
+   bechamel. Gated targets: tracegate guardpath guardopt smpscale
+   polscale selfheal traffic san each write BENCH_<target>.json in the
+   one report shape of bench/report.ml (config, row tables, scalars,
+   and every gate with its bound, observation and verdict) and exit 1
+   if a gate failed; faults and certify exit 1 on failure.
+   Flags: --quick, --engine interp|compiled (execution engine for the
+   fig targets), --trials N and --sanitize (fault campaign). *)
 
 open Carat_kop
 
@@ -24,12 +27,20 @@ let section title =
 
 let quick = ref false
 let fault_trials = ref None
-let json = ref false
 let engine = ref Vm.Engine.Interp
 let fault_sanitize = ref false
 
 let trials () = if !quick then 9 else 41
 let packets () = if !quick then 150 else 600
+
+let report target config =
+  Report.create target (("quick", Report.B !quick) :: config)
+
+(* throughput must grow with the CPU count: p1 < p2 < p4 *)
+let monotone r name p1 p2 p4 =
+  Report.gate r (name ^ " monotone 1->2->4") ~bound:"p1 < p2 < p4"
+    Report.(L [ F (0, p1); F (0, p2); F (0, p4) ])
+    (p1 < p2 && p2 < p4)
 
 (* ------------------------------------------------------------------ *)
 
@@ -415,23 +426,26 @@ let guardpath_e2e ?(trace = false) ~label ~(engine : Vm.Engine.kind)
    With tracing disabled (the default), the observability layer must be
    invisible to the simulation: fig3/fig7-shaped runs must produce
    simulated cycle counts and guard-check counts bit-identical to the
-   values recorded before the trace layer existed. The goldens below are
-   those pre-PR values (fixed seeds, fixed packet counts, engine
-   Interp/Compiled both asserted). *)
+   goldens below, recorded before the trace layer existed (fixed seeds,
+   fixed packet counts, engine Interp/Compiled both asserted). Domains,
+   RX and the sanitizer gate their off paths on the same goldens. *)
 
 (* fig7-shaped cell: R350, 0.0004 stall, 128B, 600 packets, seed 5 —
-   exactly Experiments.fig7's loop at a fixed small packet count. *)
-let fig7_cell ~technique ~(engine : Vm.Engine.kind) () =
+   exactly Experiments.fig7's loop at a fixed small packet count.
+   Returns cycles, guard stats, median latency and the cell's kernel;
+   [sanitize] turns the sanitizer on before the first packet. *)
+let fig7_cell ?(sanitize = false) (engine : Vm.Engine.kind) =
   let config =
     {
       Testbed.default_config with
       machine = Machine.Presets.r350;
-      technique;
+      technique = Testbed.Carat;
       stall_prob = 0.0004;
       engine;
     }
   in
   let tb = Testbed.create ~config () in
+  if sanitize then Kernel.enable_sanitizer tb.Testbed.kernel;
   let machine = Testbed.machine tb in
   ignore
     (Testbed.run_pktgen tb
@@ -449,45 +463,42 @@ let fig7_cell ~technique ~(engine : Vm.Engine.kind) () =
   let median =
     Stats.Summary.median (Array.map float_of_int r.Net.Pktgen.latencies)
   in
-  (c1 - c0, st.Policy.Engine.checks, median)
+  (c1 - c0, st, median, tb.Testbed.kernel)
+
+(* (total sim cycles, guard checks) of the fig3 cell; the same plus the
+   median sendmsg latency of the fig7 cell *)
+let fig3_golden = (10629208, 17400)
+let fig7_golden = (12538822, 17400, 731.0)
+let fig3_v (c, k) = Report.(L [ I c; I k ])
+let fig7_v (c, k, m) = Report.(L [ I c; I k; F (1, m) ])
+
+(* the fig3-shaped cell (R415, 2 regions, 600 packets) and the fig7 cell *)
+let golden_cells engine =
+  let f3 =
+    guardpath_e2e ~label:"fig3" ~engine ~structure:Policy.Engine.Linear
+      ~site_cache:false ~regions:2 ~packets:600 ()
+  in
+  let c7, st, m7, _ = fig7_cell engine in
+  ((f3.gp_total_cycles, f3.gp_guard_checks), (c7, st.Policy.Engine.checks, m7))
+
+(* Gate the interp cells, measured with [layer] off, on the goldens;
+   returns the measured cells. *)
+let golden_gate r ~layer =
+  let f3, f7 = golden_cells Vm.Engine.Interp in
+  Report.equal r (layer ^ " fig3 golden") ~expected:(fig3_v fig3_golden)
+    (fig3_v f3);
+  Report.equal r (layer ^ " fig7 golden") ~expected:(fig7_v fig7_golden)
+    (fig7_v f7);
+  (f3, f7)
 
 let run_tracegate () =
   section "tracegate: tracing off must be simulation-invisible (bit-identical)";
-  (* (label, golden total sim cycles, golden guard checks) *)
-  let fig3_golden_cycles = 10629208 and fig3_golden_checks = 17400 in
-  let fig7_golden_cycles = 12538822 and fig7_golden_checks = 17400 in
-  let fig7_golden_median = 731.0 in
-  let f3i =
-    guardpath_e2e ~label:"fig3/interp" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets:600 ()
-  in
-  let f3c =
-    guardpath_e2e ~label:"fig3/compiled" ~engine:Vm.Engine.Compiled
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets:600 ()
-  in
-  let c7i, k7i, m7i = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let c7c, k7c, m7c = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Compiled () in
-  Printf.printf "  fig3-shaped (R415, 2 regions, 600 pkts): %d cycles, %d checks\n"
-    f3i.gp_total_cycles f3i.gp_guard_checks;
-  Printf.printf "  fig7-shaped (R350, 2 regions, 600 pkts): %d cycles, %d checks, median %.1f\n"
-    c7i k7i m7i;
-  let fail msg =
-    Printf.eprintf "tracegate: FAIL: %s\n" msg;
-    exit 1
-  in
-  if (f3i.gp_total_cycles, f3i.gp_guard_checks) <> (f3c.gp_total_cycles, f3c.gp_guard_checks)
-  then fail "fig3 engines disagree";
-  if (c7i, k7i, m7i) <> (c7c, k7c, m7c) then fail "fig7 engines disagree";
-  if fig3_golden_cycles = 0 then
-    Printf.printf "  (goldens unset: probe mode, printing measured values only)\n"
-  else begin
-    if (f3i.gp_total_cycles, f3i.gp_guard_checks)
-       <> (fig3_golden_cycles, fig3_golden_checks)
-    then fail "fig3 simulated cycles/checks differ from pre-trace goldens";
-    if (c7i, k7i, m7i) <> (fig7_golden_cycles, fig7_golden_checks, fig7_golden_median)
-    then fail "fig7 simulated cycles/checks/median differ from pre-trace goldens";
-    print_endline "  tracing off is bit-identical to the pre-trace goldens: yes"
-  end
+  let r = report "tracegate" [] in
+  let f3, f7 = golden_gate r ~layer:"tracing-off" in
+  let c3, c7 = golden_cells Vm.Engine.Compiled in
+  Report.equal r "fig3 engines agree" ~expected:(fig3_v f3) (fig3_v c3);
+  Report.equal r "fig7 engines agree" ~expected:(fig7_v f7) (fig7_v c7);
+  Report.finish r
 
 (* Steady-state allocation on the inline-cache hit path must be zero:
    returns minor words allocated across [n] hot checks (measurement
@@ -556,6 +567,7 @@ let guardpath_check_only ~checks =
 let run_guardpath () =
   section "guardpath: wall-clock of the guard fast path (host ns, 64 regions)";
   let packets = if !quick then 1500 else 4000 in
+  let r = report "guardpath" [ ("packets", Report.I packets) ] in
   let rows =
     [
       guardpath_e2e ~label:"interp+linear (seed)" ~engine:Vm.Engine.Interp
@@ -574,112 +586,56 @@ let run_guardpath () =
     ]
   in
   let base = List.hd rows in
-  Printf.printf "  %-24s %14s %10s %16s %14s\n" "configuration" "ns/packet"
-    "speedup" "sim cycles/pkt" "guard checks";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-24s %14.0f %9.2fx %16.0f %14d\n" r.gp_label
-        r.gp_ns_per_packet
-        (base.gp_ns_per_packet /. r.gp_ns_per_packet)
-        r.gp_cycles_per_packet r.gp_guard_checks)
-    rows;
+  let cols =
+    Report.
+      [
+        col "label" ~head:"configuration" (fun g -> S g.gp_label);
+        col "ns_per_packet" ~head:"ns/packet" (fun g ->
+            F (1, g.gp_ns_per_packet));
+        col "speedup" (fun g ->
+            F (3, base.gp_ns_per_packet /. g.gp_ns_per_packet));
+        col "sim_cycles_per_packet" ~head:"sim cycles/pkt" (fun g ->
+            F (1, g.gp_cycles_per_packet));
+        col "guard_checks" ~head:"guard checks" (fun g -> I g.gp_guard_checks);
+      ]
+  in
+  Report.table r "e2e" cols rows;
   (* fig3's minimal two-region policy, for context: the table is so
      small that the linear walk is nearly free, which is why the paper's
      production table scale above is the design point worth measuring *)
-  let ctx =
+  Report.table r "context_two_regions" cols
     [
       guardpath_e2e ~label:"interp+linear (2 regions)" ~engine:Vm.Engine.Interp
         ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets ();
       guardpath_e2e ~label:"compiled+shadow+ic (2 regions)"
         ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Shadow
         ~site_cache:true ~regions:2 ~packets ();
-    ]
-  in
-  List.iter
-    (fun r ->
-      Printf.printf "  %-30s %6.0f ns/packet  %12.0f sim cycles/pkt\n"
-        r.gp_label r.gp_ns_per_packet r.gp_cycles_per_packet)
-    ctx;
-  (* engine equivalence sanity on the spot: same policy tier => same
-     simulated cycles and guard counts regardless of engine *)
-  let by label = List.find (fun r -> r.gp_label = label) rows in
-  let eq a b =
-    a.gp_cycles_per_packet = b.gp_cycles_per_packet
-    && a.gp_guard_checks = b.gp_guard_checks
-  in
-  if not (eq (by "interp+linear (seed)") (by "compiled+linear"))
-     || not (eq (by "interp+shadow+ic") (by "compiled+shadow+ic"))
-  then begin
-    Printf.eprintf
-      "guardpath: FAIL: engines disagree on simulated cycles or guard counts\n";
-    exit 1
-  end;
-  print_endline "  engines agree on simulated cycles and guard counts: yes";
+    ];
+  (* engine equivalence: same policy tier => same simulated cycles and
+     guard counts regardless of engine *)
+  let by label = List.find (fun g -> g.gp_label = label) rows in
+  let sim g = Report.(L [ F (1, g.gp_cycles_per_packet); I g.gp_guard_checks ]) in
+  Report.equal r "engines agree: linear"
+    ~expected:(sim (by "interp+linear (seed)")) (sim (by "compiled+linear"));
+  Report.equal r "engines agree: shadow+ic"
+    ~expected:(sim (by "interp+shadow+ic")) (sim (by "compiled+shadow+ic"));
   (* recording must tax cycles only, never decisions: the traced run sees
      exactly the guard traffic of its untraced twin *)
   let traced = by "compiled+shadow+ic+trace" in
   let untraced = by "compiled+shadow+ic" in
-  if traced.gp_guard_checks <> untraced.gp_guard_checks then begin
-    Printf.eprintf
-      "guardpath: FAIL: tracing changed the guard-check count (%d vs %d)\n"
-      traced.gp_guard_checks untraced.gp_guard_checks;
-    exit 1
-  end;
-  let trace_overhead =
-    traced.gp_cycles_per_packet -. untraced.gp_cycles_per_packet
-  in
-  Printf.printf
-    "  trace recording overhead: %.1f sim cycles/packet (decisions unchanged)\n"
-    trace_overhead;
-  let words = guardpath_alloc_words ~n:100_000 in
-  Printf.printf "  minor words allocated across 100k hot checks: %.0f\n" words;
-  if words > 64.0 then begin
-    Printf.eprintf "guardpath: FAIL: guard fast path allocates\n";
-    exit 1
-  end;
+  Report.equal r "trace_decisions_unchanged"
+    ~expected:(I untraced.gp_guard_checks) (I traced.gp_guard_checks);
+  Report.scalar r "trace_overhead_sim_cycles_per_packet"
+    (F (1, traced.gp_cycles_per_packet -. untraced.gp_cycles_per_packet));
+  Report.at_most r "minor_words_per_100k_checks" ~digits:0 ~bound:64.0
+    (guardpath_alloc_words ~n:100_000);
   let checks = if !quick then 20_000 else 100_000 in
-  let co = guardpath_check_only ~checks in
-  Printf.printf "\n  bare check, 64 regions, conforming probes (host ns/check):\n";
-  List.iter (fun (l, ns) -> Printf.printf "  %-22s %10.1f\n" l ns) co;
-  let speedup =
-    base.gp_ns_per_packet /. (by "compiled+shadow+ic").gp_ns_per_packet
-  in
-  Printf.printf "\n  compiled+shadow+ic vs seed interp+linear: %.2fx\n" speedup;
-  if !json then begin
-    let oc = open_out "BENCH_guardpath.json" in
-    let row_json r =
-      Printf.sprintf
-        "    {\"label\": %S, \"ns_per_packet\": %.1f, \"speedup\": %.3f, \
-         \"sim_cycles_per_packet\": %.1f, \"guard_checks\": %d}"
-        r.gp_label r.gp_ns_per_packet
-        (base.gp_ns_per_packet /. r.gp_ns_per_packet)
-        r.gp_cycles_per_packet r.gp_guard_checks
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"packets\": %d,\n\
-      \  \"e2e\": [\n%s\n  ],\n\
-      \  \"context_two_regions\": [\n%s\n  ],\n\
-      \  \"check_only_ns\": {%s},\n\
-      \  \"minor_words_per_100k_checks\": %.0f,\n\
-      \  \"speedup_compiled_shadow_vs_seed\": %.3f,\n\
-      \  \"trace_overhead_sim_cycles_per_packet\": %.1f,\n\
-      \  \"trace_decisions_unchanged\": true\n\
-       }\n"
-      packets
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map row_json ctx))
-      (String.concat ", "
-         (List.map (fun (l, ns) -> Printf.sprintf "%S: %.1f" l ns) co))
-      words speedup trace_overhead;
-    close_out oc;
-    print_endline "  wrote BENCH_guardpath.json"
-  end;
-  if speedup < 3.0 then begin
-    Printf.eprintf
-      "guardpath: FAIL: compiled+shadow+ic is below 3x over the seed path\n";
-    exit 1
-  end
+  Report.scalar r "check_only_ns"
+    (O (List.map (fun (l, ns) -> (l, Report.F (1, ns)))
+          (guardpath_check_only ~checks)));
+  Report.at_least r "speedup_compiled_shadow_vs_seed" ~bound:3.0
+    (base.gp_ns_per_packet /. untraced.gp_ns_per_packet);
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -769,27 +725,29 @@ let guardopt_cell ~preset ~machine ~stall ~structure ~site_cache ~packets
 let run_guardopt () =
   section "guardopt: certified guard optimizer vs the unoptimized pipeline";
   let packets = if !quick then 200 else 600 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let r = report "guardopt" [ ("packets", Report.I packets) ] in
   (* 0: the certifier gate itself — the aggressive compile must not have
      rolled the transforms back, and must re-validate like any module
      the loader is about to accept *)
   let m = Nic.Driver_gen.generate ~module_scale:12 ~with_rogue:false () in
   let remarks = Passes.Pipeline.compile ~opt:Passes.Pipeline.O_aggressive m in
+  let restored = ref [] in
   List.iter
-    (fun (pass, (r : Passes.Pass.result)) ->
+    (fun (pass, (res : Passes.Pass.result)) ->
       if pass = "guard-optimize" then
         List.iter
           (fun (k, v) ->
-            if k = "restored" then fail "optimizer rolled back: %s" v
+            if k = "restored" then restored := Report.S v :: !restored
             else Printf.printf "  optimizer: %s = %s\n" k v)
-          r.Passes.Pass.remarks)
+          res.Passes.Pass.remarks)
     remarks;
-  (match Analysis.Certify.validate m with
-  | Ok () -> print_endline "  aggressive driver re-validates: yes"
-  | Error e ->
-    fail "aggressive driver certificate: %s"
-      (Analysis.Certify.validate_error_to_string e));
+  Report.gate r "optimizer_rollbacks" ~bound:"none" (L !restored)
+    (!restored = []);
+  Report.equal r "aggressive driver re-validates" ~expected:(S "ok")
+    (S
+       (match Analysis.Certify.validate m with
+       | Ok () -> "ok"
+       | Error e -> Analysis.Certify.validate_error_to_string e));
   (* 1: the gate presets, all tiers under identical seeds *)
   let levels =
     None :: List.map (fun o -> Some o) Passes.Pipeline.all_opt_levels
@@ -829,14 +787,25 @@ let run_guardopt () =
       ~engine:Vm.Engine.Interp (Some Passes.Pipeline.O_aggressive)
   in
   let all_rows = rows @ linear_rows in
-  Printf.printf "\n  %-26s %-10s %7s %9s %9s %7s %11s\n" "preset" "level"
-    "static" "checks" "chk/pkt" "denied" "cycles/pkt";
-  List.iter
-    (fun g ->
-      Printf.printf "  %-26s %-10s %7d %9d %9.1f %7d %11.1f\n" g.go_preset
-        g.go_level g.go_static_guards g.go_checks g.go_checks_per_pkt
-        g.go_denied g.go_cycles_per_pkt)
-    (all_rows @ [ parity_interp ]);
+  let cols =
+    Report.
+      [
+        col "preset" (fun g -> S g.go_preset);
+        col "level" (fun g -> S g.go_level);
+        col "static_guards" ~head:"static" (fun g -> I g.go_static_guards);
+        col "sent" ~show:false (fun g -> I g.go_sent);
+        col "checks" (fun g -> I g.go_checks);
+        col "allowed" ~show:false (fun g -> I g.go_allowed);
+        col "denied" (fun g -> I g.go_denied);
+        col "total_cycles" ~show:false (fun g -> I g.go_total_cycles);
+        col "cycles_per_packet" ~head:"cycles/pkt" (fun g ->
+            F (1, g.go_cycles_per_pkt));
+        col "checks_per_packet" ~head:"chk/pkt" (fun g ->
+            F (1, g.go_checks_per_pkt));
+      ]
+  in
+  Report.table r "rows" cols all_rows;
+  Report.table r "engine_parity_row" cols [ parity_interp ];
   let cell preset level =
     List.find (fun g -> g.go_preset = preset && g.go_level = level) all_rows
   in
@@ -844,22 +813,18 @@ let run_guardopt () =
      check on a benign workload an allow *)
   List.iter
     (fun g ->
-      if g.go_denied <> 0 then
-        fail "%s/%s: %d denies on a benign workload" g.go_preset g.go_level
-          g.go_denied;
-      if g.go_sent <> packets then
-        fail "%s/%s: sent %d of %d packets" g.go_preset g.go_level g.go_sent
-          packets;
-      if g.go_checks <> g.go_allowed then
-        fail "%s/%s: checks <> allows" g.go_preset g.go_level)
+      Report.gate r (g.go_preset ^ "/" ^ g.go_level ^ " benign")
+        ~bound:"denied = 0, sent = packets, checks = allowed"
+        (O [ ("denied", I g.go_denied); ("sent", I g.go_sent);
+             ("checks", I g.go_checks); ("allowed", I g.go_allowed) ])
+        (g.go_denied = 0 && g.go_sent = packets && g.go_checks = g.go_allowed))
     (all_rows @ [ parity_interp ]);
-  (let c = cell "fig3/compiled+shadow+ic" "aggressive" in
-   if
-     (parity_interp.go_checks, parity_interp.go_total_cycles)
-     <> (c.go_checks, c.go_total_cycles)
-   then fail "engines disagree on the optimized module (checks or cycles)");
-  (* the optimization gates on the fig3/fig7 presets *)
-  let gate_results =
+  (let sim g = Report.(L [ I g.go_checks; I g.go_total_cycles ]) in
+   Report.equal r "engines agree on the optimized module"
+     ~expected:(sim (cell "fig3/compiled+shadow+ic" "aggressive"))
+     (sim parity_interp));
+  (* the optimization gate on the fig3/fig7 presets *)
+  let per_preset =
     List.map
       (fun (preset, _, _) ->
         let base = cell preset "baseline" in
@@ -869,24 +834,18 @@ let run_guardopt () =
           1.0 -. (float_of_int a.go_checks /. float_of_int n.go_checks)
         in
         let attr l = l.go_cycles_per_pkt -. base.go_cycles_per_pkt in
-        let attr_improvement = attr n /. attr a in
-        Printf.printf
-          "\n  %s: checks %d -> %d (%.1f%% fewer), guard-attributable \
-           cycles/pkt %.1f -> %.1f (%.2fx)\n"
-          preset n.go_checks a.go_checks (100.0 *. reduction) (attr n)
-          (attr a) attr_improvement;
-        (preset, reduction, attr_improvement))
+        (reduction, attr n /. attr a, preset))
       presets
   in
-  if
-    not
-      (List.exists
-         (fun (_, red, imp) -> red >= 0.25 && imp >= 1.15)
-         gate_results)
-  then
-    fail
-      "no fig3/fig7 preset reached >=25%% check reduction and >=1.15x \
-       guard-attributable cycles/pkt";
+  Report.gate r "aggressive tier cuts guard work on a fig3/fig7 preset"
+    ~bound:"check_reduction >= 0.25 and attr_cycles_improvement >= 1.15"
+    (L
+       (List.map
+          (fun (red, imp, preset) ->
+            Report.O [ ("preset", S preset); ("check_reduction", F (3, red));
+                       ("attr_cycles_improvement", F (3, imp)) ])
+          per_preset))
+    (List.exists (fun (red, imp, _) -> red >= 0.25 && imp >= 1.15) per_preset);
   (* 2: the 4-CPU multi-queue build, optimizer on vs off *)
   let smp_cell opt =
     let cfg =
@@ -899,66 +858,32 @@ let run_guardopt () =
       }
     in
     let tb = Smp_testbed.create ~config:cfg () in
-    let r = Smp_testbed.run_pktgen ~count:(if !quick then 200 else 600) tb in
+    let res = Smp_testbed.run_pktgen ~count:(if !quick then 200 else 600) tb in
     let st =
       Policy.Engine.merged_stats
         (Policy.Policy_module.engine (Smp_testbed.policy_module tb))
     in
-    (r, st)
+    (res, st)
   in
-  let smp_none, smp_none_st = smp_cell Passes.Pipeline.O_none in
-  let smp_aggr, smp_aggr_st = smp_cell Passes.Pipeline.O_aggressive in
-  Printf.printf
-    "\n  smp 4-cpu (R350): checks %d -> %d, pps %.0f -> %.0f, denies %d/%d\n"
-    smp_none_st.Policy.Engine.checks smp_aggr_st.Policy.Engine.checks
-    smp_none.Smp_testbed.pps smp_aggr.Smp_testbed.pps
-    smp_none_st.Policy.Engine.denied smp_aggr_st.Policy.Engine.denied;
-  if smp_none_st.Policy.Engine.denied + smp_aggr_st.Policy.Engine.denied <> 0
-  then fail "smp rows denied on a benign workload";
-  if smp_aggr_st.Policy.Engine.checks >= smp_none_st.Policy.Engine.checks then
-    fail "smp 4-cpu: aggressive did not reduce dynamic checks";
-  if smp_none.Smp_testbed.total_sent <> smp_aggr.Smp_testbed.total_sent then
-    fail "smp 4-cpu: sent counts differ between tiers";
-  (* json artifact *)
-  let oc = open_out "BENCH_guardopt.json" in
-  let row_json g =
-    Printf.sprintf
-      "    {\"preset\": %S, \"level\": %S, \"static_guards\": %d, \"sent\": \
-       %d, \"checks\": %d, \"allowed\": %d, \"denied\": %d, \
-       \"total_cycles\": %d, \"cycles_per_packet\": %.1f, \
-       \"checks_per_packet\": %.1f}"
-      g.go_preset g.go_level g.go_static_guards g.go_sent g.go_checks
-      g.go_allowed g.go_denied g.go_total_cycles g.go_cycles_per_pkt
-      g.go_checks_per_pkt
-  in
-  let gate_json (preset, red, imp) =
-    Printf.sprintf
-      "    {\"preset\": %S, \"check_reduction\": %.3f, \
-       \"attr_cycles_improvement\": %.3f}"
-      preset red imp
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"packets\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"engine_parity_row\": [\n%s\n  ],\n\
-    \  \"gates\": [\n%s\n  ],\n\
-    \  \"smp_4cpu\": {\"checks_none\": %d, \"checks_aggressive\": %d, \
-     \"pps_none\": %.0f, \"pps_aggressive\": %.0f},\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    packets
-    (String.concat ",\n" (List.map row_json all_rows))
-    (row_json parity_interp)
-    (String.concat ",\n" (List.map gate_json gate_results))
-    smp_none_st.Policy.Engine.checks smp_aggr_st.Policy.Engine.checks
-    smp_none.Smp_testbed.pps smp_aggr.Smp_testbed.pps (!failures = []);
-  close_out oc;
-  print_endline "\n  wrote BENCH_guardopt.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "guardopt: FAIL: %s\n") !failures;
-    exit 1
-  end
+  let smp_none, none_st = smp_cell Passes.Pipeline.O_none in
+  let smp_aggr, aggr_st = smp_cell Passes.Pipeline.O_aggressive in
+  Report.scalar r "smp_4cpu"
+    (O
+       [
+         ("checks_none", I none_st.Policy.Engine.checks);
+         ("checks_aggressive", I aggr_st.Policy.Engine.checks);
+         ("pps_none", F (0, smp_none.Smp_testbed.pps));
+         ("pps_aggressive", F (0, smp_aggr.Smp_testbed.pps));
+       ]);
+  Report.zero r "smp_4cpu denied"
+    (none_st.Policy.Engine.denied + aggr_st.Policy.Engine.denied);
+  Report.gate r "smp_4cpu aggressive cuts checks" ~bound:"aggressive < none"
+    (L [ I aggr_st.Policy.Engine.checks; I none_st.Policy.Engine.checks ])
+    (aggr_st.Policy.Engine.checks < none_st.Policy.Engine.checks);
+  Report.equal r "smp_4cpu sent equal across tiers"
+    ~expected:(I smp_none.Smp_testbed.total_sent)
+    (I smp_aggr.Smp_testbed.total_sent);
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -978,6 +903,7 @@ type smp_row = {
 let run_smpscale () =
   section "smpscale: multi-queue send throughput scaling, 1-8 CPUs";
   let count = if !quick then 300 else 1200 in
+  let r = report "smpscale" [ ("count_per_cpu", Report.I count) ] in
   let presets =
     [ ("R415", Machine.Presets.r415); ("R350", Machine.Presets.r350) ]
   in
@@ -992,13 +918,13 @@ let run_smpscale () =
       }
     in
     let tb = Smp_testbed.create ~config:cfg () in
-    let r = Smp_testbed.run_pktgen ~count ~storm tb in
+    let res = Smp_testbed.run_pktgen ~count ~storm tb in
     {
       sr_machine = mname;
       sr_technique = Testbed.technique_to_string tech;
       sr_cpus = cpus;
       sr_storm = storm;
-      sr_result = r;
+      sr_result = res;
     }
   in
   let rows =
@@ -1020,106 +946,65 @@ let run_smpscale () =
         row ~storm:40 ~mname ~params ~tech:Testbed.Carat ~cpus:4)
       presets
   in
-  let all = rows @ storm_rows in
-  Printf.printf "  %-6s %-9s %5s %6s %12s %9s %6s %6s %6s\n" "mach" "tech"
-    "cpus" "storm" "pps" "speedup" "pubs" "ipis" "stale";
   let pps_of mname tech cpus =
-    let r =
-      List.find
-        (fun s ->
-          s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus
-          && s.sr_storm = 0)
-        rows
-    in
-    r.sr_result.Smp_testbed.pps
+    (List.find
+       (fun s ->
+         s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus)
+       rows)
+      .sr_result.pps
   in
+  let cols =
+    Report.
+      [
+        col "machine" ~head:"mach" (fun s -> S s.sr_machine);
+        col "technique" ~head:"tech" (fun s -> S s.sr_technique);
+        col "cpus" (fun s -> I s.sr_cpus);
+        col "storm" (fun s -> I s.sr_storm);
+        col "sent" ~show:false (fun s -> I s.sr_result.total_sent);
+        col "pps" (fun s -> F (0, s.sr_result.pps));
+        col "speedup" (fun s ->
+            F (2, s.sr_result.pps /. pps_of s.sr_machine s.sr_technique 1));
+        col "per_cpu_pps" ~show:false (fun s ->
+            L (Array.to_list (Array.map (fun c -> F (0, c.Smp_testbed.cr_pps))
+                                s.sr_result.per_cpu)));
+        col "publications" ~head:"pubs" (fun s -> I s.sr_result.publications);
+        col "retired" ~show:false (fun s -> I s.sr_result.retired);
+        col "ipis" (fun s -> I s.sr_result.ipis);
+        col "ipi_cycles" ~show:false (fun s -> I s.sr_result.ipi_cycles);
+        col "grace_quiescents" ~show:false (fun s ->
+            I s.sr_result.grace_quiescents);
+        col "stale_allows" ~head:"stale" (fun s -> I s.sr_result.stale_allows);
+        col "send_errors" ~show:false (fun s -> I s.sr_result.send_errors);
+      ]
+  in
+  Report.table r "rows" cols rows;
+  Report.table r "storm_rows" cols storm_rows;
   List.iter
     (fun s ->
-      let r = s.sr_result in
-      Printf.printf "  %-6s %-9s %5d %6d %12.0f %8.2fx %6d %6d %6d\n"
-        s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.pps
-        (r.Smp_testbed.pps /. pps_of s.sr_machine s.sr_technique 1)
-        r.Smp_testbed.publications r.Smp_testbed.ipis
-        r.Smp_testbed.stale_allows)
-    all;
-  (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  List.iter
-    (fun s ->
-      if s.sr_result.Smp_testbed.stale_allows <> 0 then
-        fail "%s/%s/%d: %d stale allows (policy coherence broken)"
-          s.sr_machine s.sr_technique s.sr_cpus
-          s.sr_result.Smp_testbed.stale_allows;
-      if s.sr_result.Smp_testbed.send_errors <> 0 then
-        fail "%s/%s/%d: %d send errors" s.sr_machine s.sr_technique s.sr_cpus
-          s.sr_result.Smp_testbed.send_errors)
-    all;
+      let x = s.sr_result in
+      Report.coherence r
+        (Printf.sprintf "%s/%s/%dcpu/storm=%d" s.sr_machine s.sr_technique
+           s.sr_cpus s.sr_storm)
+        ~stale:x.stale_allows ~send_errors:x.send_errors
+        ~publications:x.publications ~retired:x.retired)
+    (rows @ storm_rows);
   List.iter
     (fun (mname, _) ->
       List.iter
         (fun tech ->
-          let p1 = pps_of mname tech 1
-          and p2 = pps_of mname tech 2
-          and p4 = pps_of mname tech 4 in
-          if not (p1 < p2 && p2 < p4) then
-            fail "%s/%s: throughput not monotone 1->2->4 (%.0f %.0f %.0f)"
-              mname tech p1 p2 p4)
+          monotone r (mname ^ "/" ^ tech) (pps_of mname tech 1)
+            (pps_of mname tech 2) (pps_of mname tech 4))
         [ "carat"; "baseline" ])
     presets;
-  let efficiency = pps_of "R350" "carat" 4 /. (4.0 *. pps_of "R350" "carat" 1) in
-  Printf.printf "\n  R350 carat scaling efficiency at 4 CPUs: %.2f\n"
-    efficiency;
-  if efficiency < 0.70 then
-    fail "R350 carat 4-CPU scaling efficiency %.2f below 0.70" efficiency;
+  Report.at_least r "scaling_efficiency_r350_carat_4cpu" ~bound:0.70
+    (pps_of "R350" "carat" 4 /. (4.0 *. pps_of "R350" "carat" 1));
   List.iter
     (fun s ->
-      let r = s.sr_result in
-      if r.Smp_testbed.publications = 0 then
-        fail "%s storm row made no publications" s.sr_machine;
-      if r.Smp_testbed.retired <> r.Smp_testbed.publications then
-        fail "%s storm row: %d of %d generations never retired" s.sr_machine
-          (r.Smp_testbed.publications - r.Smp_testbed.retired)
-          r.Smp_testbed.publications)
+      let pubs = s.sr_result.publications in
+      Report.gate r (s.sr_machine ^ " storm row published") ~bound:"> 0"
+        (I pubs) (pubs > 0))
     storm_rows;
-  let oc = open_out "BENCH_smpscale.json" in
-  let row_json s =
-    let r = s.sr_result in
-    Printf.sprintf
-      "    {\"machine\": %S, \"technique\": %S, \"cpus\": %d, \"storm\": %d, \
-       \"sent\": %d, \"pps\": %.0f, \"per_cpu_pps\": [%s], \
-       \"publications\": %d, \"retired\": %d, \"ipis\": %d, \
-       \"ipi_cycles\": %d, \"grace_quiescents\": %d, \"stale_allows\": %d, \
-       \"send_errors\": %d}"
-      s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.total_sent
-      r.Smp_testbed.pps
-      (String.concat ", "
-         (Array.to_list
-            (Array.map
-               (fun c -> Printf.sprintf "%.0f" c.Smp_testbed.cr_pps)
-               r.Smp_testbed.per_cpu)))
-      r.Smp_testbed.publications r.Smp_testbed.retired r.Smp_testbed.ipis
-      r.Smp_testbed.ipi_cycles r.Smp_testbed.grace_quiescents
-      r.Smp_testbed.stale_allows r.Smp_testbed.send_errors
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"count_per_cpu\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"storm_rows\": [\n%s\n  ],\n\
-    \  \"scaling_efficiency_r350_carat_4cpu\": %.3f,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    count
-    (String.concat ",\n" (List.map row_json rows))
-    (String.concat ",\n" (List.map row_json storm_rows))
-    efficiency (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_smpscale.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "smpscale: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -1132,6 +1017,7 @@ let run_smpscale () =
 
 type selfheal_row = {
   se_class : string;
+  se_injected : bool;  (** the corruption was accepted *)
   se_detect_cycles : int;  (** corruption to the detecting audit *)
   se_degraded_level : int;
   se_full_cpc : float;  (** sim cycles/check at the full tier *)
@@ -1177,10 +1063,7 @@ let selfheal_episode ~cls ~corrupt () =
   ignore (Policy.Engine.check engine ~addr:0x4000 ~size:8 ~flags:2);
   ignore (selfheal_cpc engine machine);
   let full = selfheal_cpc engine machine in
-  if not (corrupt engine) then begin
-    Printf.eprintf "selfheal: FAIL: %s corruption injection refused\n" cls;
-    exit 1
-  end;
+  let injected = corrupt engine in
   let c0 = Machine.Model.cycles machine in
   let steps = ref 0 in
   while Policy.Integrity.detections ig = 0 && !steps < 100 do
@@ -1202,6 +1085,7 @@ let selfheal_episode ~cls ~corrupt () =
   let healed = selfheal_cpc engine machine in
   {
     se_class = cls;
+    se_injected = injected;
     se_detect_cycles = detect;
     se_degraded_level = level;
     se_full_cpc = full;
@@ -1215,6 +1099,7 @@ let selfheal_episode ~cls ~corrupt () =
 
 let run_selfheal () =
   section "selfheal: watchdog detection latency, degraded overhead, recovery";
+  let r = report "selfheal" [] in
   let user_page = 0x4000 lsr Policy.Shadow_table.page_bits in
   let rows =
     [
@@ -1236,15 +1121,55 @@ let run_selfheal () =
         ();
     ]
   in
-  Printf.printf "  %-18s %12s %6s %10s %12s %10s %8s %6s\n" "class"
-    "detect cyc" "tier" "full c/c" "degraded c/c" "healed c/c" "audits"
-    "stale";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-18s %12d %6d %10.1f %12.1f %10.1f %8d %6d\n"
-        r.se_class r.se_detect_cycles r.se_degraded_level r.se_full_cpc
-        r.se_degraded_cpc r.se_healed_cpc r.se_recover_audits r.se_stale)
+  Report.table r "episodes"
+    Report.
+      [
+        col "class" (fun e -> S e.se_class);
+        col "detect_cycles" ~head:"detect cyc" (fun e -> I e.se_detect_cycles);
+        col "watchdog_period" ~show:false (fun _ -> I selfheal_period);
+        col "degraded_tier_level" ~head:"tier" (fun e -> I e.se_degraded_level);
+        col "full_cycles_per_check" ~head:"full c/c" (fun e ->
+            F (1, e.se_full_cpc));
+        col "degraded_cycles_per_check" ~head:"degraded c/c" (fun e ->
+            F (1, e.se_degraded_cpc));
+        col "healed_cycles_per_check" ~head:"healed c/c" (fun e ->
+            F (1, e.se_healed_cpc));
+        col "recover_audits" ~head:"audits" (fun e -> I e.se_recover_audits);
+        col "recovered" ~show:false (fun e -> B e.se_recovered);
+        col "stale_allows" ~head:"stale" (fun e -> I e.se_stale);
+      ]
     rows;
+  List.iter
+    (fun e ->
+      let name what = e.se_class ^ " " ^ what in
+      Report.equal r (name "injected") ~expected:(B true) (B e.se_injected);
+      Report.gate r
+        (name "detected within 3 watchdog periods")
+        ~bound:(Printf.sprintf "<= %d cycles" (3 * selfheal_period))
+        (I e.se_detect_cycles)
+        (e.se_detect_cycles <= 3 * selfheal_period);
+      Report.equal r (name "recovered") ~expected:(B true) (B e.se_recovered);
+      Report.zero r (name "stale_allows") e.se_stale)
+    rows;
+  (* degraded-mode cost must reproduce guardpath's tier ordering *)
+  let by cls = List.find (fun e -> e.se_class = cls) rows in
+  let ic = by "icache-corrupt" and sh = by "shadow-corrupt" in
+  let order name ~bound cmp a b =
+    Report.gate r name ~bound Report.(L [ F (1, a); F (1, b) ]) (cmp a b)
+  in
+  order "linear fallback costlier than the full tier"
+    ~bound:"shadow degraded > full" ( > ) sh.se_degraded_cpc sh.se_full_cpc;
+  order "ic-off tier no cheaper than ic hits" ~bound:"icache degraded >= full"
+    ( >= ) ic.se_degraded_cpc ic.se_full_cpc;
+  order "linear fallback costlier than the shadow walk"
+    ~bound:"shadow degraded > icache degraded" ( > ) sh.se_degraded_cpc
+    ic.se_degraded_cpc;
+  order "healed cost back below the degraded cost"
+    ~bound:"shadow healed < degraded" ( < ) sh.se_healed_cpc sh.se_degraded_cpc;
+  Report.equal r "shadow quarantine falls back to linear" ~expected:(I 0)
+    (I sh.se_degraded_level);
+  Report.equal r "ic quarantine keeps the shadow serving" ~expected:(I 1)
+    (I ic.se_degraded_level);
   (* bounded retries: a repair route pinned to a no-op must abandon the
      tier after max_retries, not flap forever *)
   let retry_cfg = { Policy.Integrity.cooldown_audits = 1; max_retries = 2 } in
@@ -1265,13 +1190,18 @@ let run_selfheal () =
     done;
     Policy.Integrity.abandoned ig
   in
-  Printf.printf
-    "  pinned-failure repair: %d tier(s) abandoned after %d retries\n"
-    abandoned retry_cfg.Policy.Integrity.max_retries;
+  Report.scalar r "bounded_retries"
+    (O
+       [
+         ("max_retries", I retry_cfg.Policy.Integrity.max_retries);
+         ("abandoned", I abandoned);
+       ]);
+  Report.equal r "pinned-failure repair abandons one tier" ~expected:(I 1)
+    (I abandoned);
   (* campaign slice: the three tier-corruption classes across modes *)
   let faults = if !quick then 24 else 60 in
-  let report = Fault.Campaign.run { Fault.Campaign.faults; seed = 42 } in
-  let campaign_fails = Fault.Campaign.check report in
+  let campaign = Fault.Campaign.run { Fault.Campaign.faults; seed = 42 } in
+  let campaign_fails = Fault.Campaign.check campaign in
   let tier_classes =
     List.filter Fault.Inject.is_tier_corruption Fault.Inject.all_classes
   in
@@ -1286,7 +1216,7 @@ let run_selfheal () =
     List.fold_left
       (fun acc cls ->
         List.fold_left
-          (fun acc mode -> acc + f (Fault.Campaign.cell report ~cls ~mode))
+          (fun acc mode -> acc + f (Fault.Campaign.cell campaign ~cls ~mode))
           acc carat_modes)
       0 tier_classes
   in
@@ -1295,81 +1225,25 @@ let run_selfheal () =
   let rebuilt = sum (fun c -> c.Fault.Campaign.sh_rebuilt) in
   let rebuild_total = sum (fun c -> c.Fault.Campaign.sh_rebuild_total) in
   let stale = sum (fun c -> c.Fault.Campaign.sh_stale) in
-  Printf.printf
-    "  campaign (%d faults): detected %d/%d, rebuilt %d/%d, stale %d\n"
-    faults detected detect_total rebuilt rebuild_total stale;
-  (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  List.iter
-    (fun r ->
-      if r.se_detect_cycles > 3 * selfheal_period then
-        fail "%s: detection took %d cycles (period %d)" r.se_class
-          r.se_detect_cycles selfheal_period;
-      if not r.se_recovered then fail "%s: never recovered" r.se_class;
-      if r.se_stale <> 0 then
-        fail "%s: %d stale allows" r.se_class r.se_stale)
-    rows;
-  let by cls = List.find (fun r -> r.se_class = cls) rows in
-  let ic = by "icache-corrupt" and sh = by "shadow-corrupt" in
-  (* degraded-mode cost must reproduce guardpath's tier ordering *)
-  if sh.se_degraded_cpc <= sh.se_full_cpc then
-    fail "linear fallback not costlier than the full tier (%.1f vs %.1f)"
-      sh.se_degraded_cpc sh.se_full_cpc;
-  if ic.se_degraded_cpc < ic.se_full_cpc then
-    fail "ic-off tier cheaper than ic hits (%.1f vs %.1f)" ic.se_degraded_cpc
-      ic.se_full_cpc;
-  if sh.se_degraded_cpc <= ic.se_degraded_cpc then
-    fail "linear fallback not costlier than the shadow walk (%.1f vs %.1f)"
-      sh.se_degraded_cpc ic.se_degraded_cpc;
-  if sh.se_healed_cpc >= sh.se_degraded_cpc then
-    fail "healed cost did not return below the degraded cost";
-  if sh.se_degraded_level <> 0 then
-    fail "shadow quarantine did not fall back to linear (level %d)"
-      sh.se_degraded_level;
-  if ic.se_degraded_level <> 1 then
-    fail "ic quarantine did not keep the shadow serving (level %d)"
-      ic.se_degraded_level;
-  if abandoned <> 1 then
-    fail "pinned-failure repair abandoned %d tiers, wanted 1" abandoned;
-  if detected <> detect_total then
-    fail "campaign: %d of %d corruptions undetected" (detect_total - detected)
-      detect_total;
-  if rebuilt <> rebuild_total then
-    fail "campaign: %d of %d rebuilds failed" (rebuild_total - rebuilt)
-      rebuild_total;
-  if stale <> 0 then fail "campaign: %d stale allows" stale;
-  List.iter (fun m -> fail "campaign invariant: %s" m) campaign_fails;
-  let oc = open_out "BENCH_selfheal.json" in
-  let row_json r =
-    Printf.sprintf
-      "    {\"class\": %S, \"detect_cycles\": %d, \"watchdog_period\": %d, \
-       \"degraded_tier_level\": %d, \"full_cycles_per_check\": %.1f, \
-       \"degraded_cycles_per_check\": %.1f, \"healed_cycles_per_check\": \
-       %.1f, \"recover_audits\": %d, \"recovered\": %b, \"stale_allows\": %d}"
-      r.se_class r.se_detect_cycles selfheal_period r.se_degraded_level
-      r.se_full_cpc r.se_degraded_cpc r.se_healed_cpc r.se_recover_audits
-      r.se_recovered r.se_stale
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"episodes\": [\n%s\n  ],\n\
-    \  \"bounded_retries\": {\"max_retries\": %d, \"abandoned\": %d},\n\
-    \  \"campaign\": {\"faults\": %d, \"detected\": %d, \"detect_total\": %d, \
-     \"rebuilt\": %d, \"rebuild_total\": %d, \"stale_allows\": %d, \
-     \"invariants_passed\": %b},\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    (String.concat ",\n" (List.map row_json rows))
-    retry_cfg.Policy.Integrity.max_retries abandoned faults detected
-    detect_total rebuilt rebuild_total stale (campaign_fails = [])
-    (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_selfheal.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "selfheal: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.scalar r "campaign"
+    (O
+       [
+         ("faults", I faults);
+         ("detected", I detected);
+         ("detect_total", I detect_total);
+         ("rebuilt", I rebuilt);
+         ("rebuild_total", I rebuild_total);
+         ("stale_allows", I stale);
+       ]);
+  Report.equal r "campaign detects every corruption" ~expected:(I detect_total)
+    (I detected);
+  Report.equal r "campaign rebuilds every tier" ~expected:(I rebuild_total)
+    (I rebuilt);
+  Report.zero r "campaign stale_allows" stale;
+  Report.gate r "campaign invariants" ~bound:"no violations"
+    (L (List.map (fun m -> Report.S m) campaign_fails))
+    (campaign_fails = []);
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -1468,11 +1342,15 @@ type pol_row = {
   pr_structure : string;
   pr_checks : int;
   pr_cycles_per_check : float;
+  pr_refused : int;  (** domain installs refused *)
+  pr_denied : int;  (** in-policy probes denied *)
+  pr_stale : int;
 }
 
 let run_polscale () =
   section "polscale: policy domains at scale (64 -> 10k regions, 1 -> 256 domains)";
   let probes = if !quick then 400 else 2000 in
+  let r = report "polscale" [ ("probes_per_cell", Report.I probes) ] in
   (* Per-domain disjoint two-page regions; the probe address straddles
      the page boundary inside the region, so every check takes the
      exact structure walk (single-page shadow slots cannot answer) and
@@ -1488,28 +1366,26 @@ let run_polscale () =
     let dm = Policy.Domain.create kernel in
     Policy.Domain.set_verify dm true;
     let rs = List.init regions region_of in
+    let refused = ref 0 and denied = ref 0 in
     let ids =
-      List.init domains (fun _ ->
+      Array.init domains (fun _ ->
           let d = Policy.Domain.create_domain dm in
           let id = Policy.Domain.dom_id d in
-          let rc = Policy.Domain.install_regions dm ~domain:id rs in
-          if rc <> 0 then failwith (Printf.sprintf "polscale: install rc=%d" rc);
+          if Policy.Domain.install_regions dm ~domain:id rs <> 0 then
+            incr refused;
           id)
     in
-    let ids = Array.of_list ids in
     let machine = Kernel.machine kernel in
     let dom i = ids.(i mod Array.length ids) in
     let check i =
       let addr = probe_of (i * 7 mod regions) in
       if not (Policy.Domain.check dm ~domain:(dom i) ~addr ~size:16 ~flags:3)
-      then failwith "polscale: in-policy probe denied"
+      then incr denied
     in
     for i = 0 to 99 do check i done (* warm *) ;
     let c0 = Machine.Model.cycles machine in
     for i = 0 to probes - 1 do check i done;
     let c1 = Machine.Model.cycles machine in
-    if Policy.Domain.stale_allows dm <> 0 then
-      failwith "polscale: stale allow in sweep";
     let d0 = match Policy.Domain.find dm ids.(0) with
       | Some d -> d
       | None -> assert false
@@ -1520,56 +1396,58 @@ let run_polscale () =
       pr_structure = Policy.Domain.dom_structure d0;
       pr_checks = probes;
       pr_cycles_per_check = float_of_int (c1 - c0) /. float_of_int probes;
+      pr_refused = !refused;
+      pr_denied = !denied;
+      pr_stale = Policy.Domain.stale_allows dm;
     }
   in
   (* region axis at 1 domain; domain axis at 64 regions per domain *)
   let region_axis =
-    List.map (fun r -> cell ~domains:1 ~regions:r) [ 64; 1_000; 10_000 ]
+    List.map (fun n -> cell ~domains:1 ~regions:n) [ 64; 1_000; 10_000 ]
   in
   let domain_axis =
     List.map (fun d -> cell ~domains:d ~regions:64) [ 1; 16; 256 ]
   in
   let rows = region_axis @ List.tl domain_axis in
-  Printf.printf "  %-8s %-8s %-10s %14s\n" "domains" "regions" "structure"
-    "cycles/check";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-8d %-8d %-10s %14.1f\n" r.pr_domains r.pr_regions
-        r.pr_structure r.pr_cycles_per_check)
+  Report.table r "rows"
+    Report.
+      [
+        col "domains" (fun p -> I p.pr_domains);
+        col "regions" (fun p -> I p.pr_regions);
+        col "structure" (fun p -> S p.pr_structure);
+        col "checks" ~show:false (fun p -> I p.pr_checks);
+        col "cycles_per_check" ~head:"cycles/check" (fun p ->
+            F (1, p.pr_cycles_per_check));
+        col "refused" ~show:false (fun p -> I p.pr_refused);
+        col "denied" ~show:false (fun p -> I p.pr_denied);
+        col "stale_allows" ~show:false (fun p -> I p.pr_stale);
+      ]
     rows;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let cost ~domains ~regions =
-    (List.find (fun r -> r.pr_domains = domains && r.pr_regions = regions) rows)
-      .pr_cycles_per_check
+  List.iter
+    (fun p ->
+      Report.zero r
+        (Printf.sprintf "%d domain(s) x %d regions: refused + denied + stale"
+           p.pr_domains p.pr_regions)
+        (p.pr_refused + p.pr_denied + p.pr_stale))
+    rows;
+  let find ~domains ~regions =
+    List.find (fun p -> p.pr_domains = domains && p.pr_regions = regions) rows
   in
+  let cost ~domains ~regions = (find ~domains ~regions).pr_cycles_per_check in
   (* gate 1a: sub-linear region scaling — 156x the regions, <= 10x the cost *)
-  let c64 = cost ~domains:1 ~regions:64
-  and c10k = cost ~domains:1 ~regions:10_000 in
-  let region_ratio = c10k /. c64 in
-  Printf.printf "\n  10k/64-region cost ratio (1 domain): %.2fx (gate: <= 10x)\n"
-    region_ratio;
-  if region_ratio > 10.0 then
-    fail "10k-region lookup is %.1fx the 64-region cost (> 10x: not sub-linear)"
-      region_ratio;
-  (match List.find_opt (fun r -> r.pr_regions = 10_000) rows with
-  | Some r when r.pr_structure <> "interval" ->
-    fail "10k-region domain was not promoted to the interval tier"
-  | _ -> ());
+  Report.at_most r "region_cost_ratio_10k_vs_64" ~bound:10.0
+    (cost ~domains:1 ~regions:10_000 /. cost ~domains:1 ~regions:64);
+  Report.equal r "10k-region domain promoted to the interval tier"
+    ~expected:(S "interval")
+    (S (find ~domains:1 ~regions:10_000).pr_structure);
   (* gate 1b: sub-linear domain scaling — 256x the tenants must cost
      well under 256x. The residual growth is honest cache physics, not
      algorithm: 256 per-domain table mirrors (~400 KB) exceed the
      modeled D-cache while one domain's 1.5 KB stays resident, so the
      straddling probes eat capacity misses. Domain *resolution* itself
      is O(1) (hash index), so the curve flattens once out of cache. *)
-  let d1 = cost ~domains:1 ~regions:64
-  and d256 = cost ~domains:256 ~regions:64 in
-  let domain_ratio = d256 /. d1 in
-  Printf.printf "  256/1-domain cost ratio (64 regions): %.2fx (gate: <= 8x)\n"
-    domain_ratio;
-  if domain_ratio > 8.0 then
-    fail "256-domain lookup is %.1fx the 1-domain cost (super-cache cross-tenant interference)"
-      domain_ratio;
+  Report.at_most r "domain_cost_ratio_256_vs_1" ~bound:8.0
+    (cost ~domains:256 ~regions:64 /. cost ~domains:1 ~regions:64);
   (* ---- gate 2: 1k-region batched install is atomic under SMP ---- *)
   let batch_n = 1_000 in
   let kernel = Kernel.create ~require_signature:false ~seed:11 Machine.Presets.r415 in
@@ -1580,11 +1458,10 @@ let run_polscale () =
   let engine = Smp.System.engine smp in
   Policy.Engine.set_verify engine true;
   let batch = List.init batch_n region_of in
-  let partial = ref 0 and observed = ref 0 and installed = ref false in
+  let install_rc = ref None and partial = ref 0 and observed = ref 0 in
   let writer () =
-    let rc = Policy.Policy_module.apply pm (Policy.Policy_module.M_install batch) in
-    if rc <> 0 then fail "SMP batched install refused (rc=%d)" rc;
-    installed := true;
+    install_rc :=
+      Some (Policy.Policy_module.apply pm (Policy.Policy_module.M_install batch));
     false
   in
   let reader _ =
@@ -1601,76 +1478,29 @@ let run_polscale () =
   let steps = Array.init 4 (fun i -> if i = 0 then writer else reader i) in
   ignore (Smp.System.run smp steps);
   let rstats = Smp.Rcu.stats (Smp.System.rcu smp) in
-  Printf.printf
-    "\n  SMP batched install: %d regions, %d reader observations, %d partial,      %d stale, %d/%d retired\n"
-    batch_n !observed !partial
-    (Policy.Engine.stale_allows engine)
-    rstats.Smp.Rcu.retired rstats.Smp.Rcu.publications;
-  if not !installed then fail "SMP batched install never ran";
-  if !partial <> 0 then
-    fail "%d reader(s) observed a partially-installed batch" !partial;
-  if Policy.Engine.count engine <> batch_n + 2 then
-    fail "batch not fully live after the run";
-  if Policy.Engine.stale_allows engine <> 0 then
-    fail "%d stale allows during the batched install"
-      (Policy.Engine.stale_allows engine);
-  if rstats.Smp.Rcu.publications <> 1 then
-    fail "batch took %d publications (must be exactly 1 generation swap)"
-      rstats.Smp.Rcu.publications;
-  if rstats.Smp.Rcu.retired <> rstats.Smp.Rcu.publications then
-    fail "batch generation never retired";
+  let stale = Policy.Engine.stale_allows engine in
+  Report.scalar r "smp_batch"
+    (O
+       [
+         ("regions", I batch_n);
+         ("reader_observations", I !observed);
+         ("partial_observations", I !partial);
+         ("stale_allows", I stale);
+         ("publications", I rstats.Smp.Rcu.publications);
+         ("retired", I rstats.Smp.Rcu.retired);
+       ]);
+  Report.equal r "smp_batch install rc" ~expected:(I 0)
+    (match !install_rc with Some rc -> I rc | None -> S "never ran");
+  Report.zero r "smp_batch partial_observations" !partial;
+  Report.equal r "smp_batch fully live" ~expected:(I (batch_n + 2))
+    (I (Policy.Engine.count engine));
+  Report.coherence r "smp_batch" ~stale ~publications:rstats.Smp.Rcu.publications
+    ~retired:rstats.Smp.Rcu.retired;
+  Report.equal r "smp_batch is one generation swap" ~expected:(I 1)
+    (I rstats.Smp.Rcu.publications);
   (* ---- gate 3: domains off => bit-identical to the tracegate goldens ---- *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"polscale/fig3" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
-  in
-  let f7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = f7 = fig7_golden in
-  Printf.printf "  domains-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  let c7, k7, m7 = f7 in
-  Printf.printf
-    "  domains-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n"
-    c7 k7 m7 f7_ok;
-  if not f3_ok then
-    fail "1-domain (root) fig3 cell differs from the pre-domain golden";
-  if not f7_ok then
-    fail "1-domain (root) fig7 cell differs from the pre-domain golden";
-  (* ---- artifact ---- *)
-  let oc = open_out "BENCH_polscale.json" in
-  let row_json r =
-    Printf.sprintf
-      "    {\"domains\": %d, \"regions\": %d, \"structure\": %S,        \"checks\": %d, \"cycles_per_check\": %.1f}"
-      r.pr_domains r.pr_regions r.pr_structure r.pr_checks
-      r.pr_cycles_per_check
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"probes_per_cell\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"region_cost_ratio_10k_vs_64\": %.3f,\n\
-    \  \"domain_cost_ratio_256_vs_1\": %.3f,\n\
-    \  \"smp_batch\": {\"regions\": %d, \"partial_observations\": %d,      \"stale_allows\": %d, \"publications\": %d, \"retired\": %d},\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    probes
-    (String.concat ",\n" (List.map row_json rows))
-    region_ratio domain_ratio batch_n !partial
-    (Policy.Engine.stale_allows engine)
-    rstats.Smp.Rcu.publications rstats.Smp.Rcu.retired f3_ok f7_ok
-    (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_polscale.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "polscale: FAIL: %s\n") !failures;
-    exit 1
-  end
+  ignore (golden_gate r ~layer:"domains-off");
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -1698,6 +1528,9 @@ let run_traffic () =
   let count = if !quick then 250 else 800 in
   let flows = 4096 in
   let churn_every = 37 in
+  let r =
+    report "traffic" [ ("flows", Report.I flows); ("count_per_cpu", I count) ]
+  in
   let row ~tech ~cpus ~churn =
     let cfg =
       {
@@ -1709,13 +1542,13 @@ let run_traffic () =
       }
     in
     let tb = Smp_testbed.create ~config:cfg () in
-    let r = Smp_testbed.run_traffic ~count ~churn ~flows tb in
-    let cdf = Stats.Cdf.of_samples r.Smp_testbed.d_latencies in
+    let res = Smp_testbed.run_traffic ~count ~churn ~flows tb in
+    let cdf = Stats.Cdf.of_samples res.Smp_testbed.d_latencies in
     {
       tf_technique = Testbed.technique_to_string tech;
       tf_cpus = cpus;
       tf_churn = churn;
-      tf_result = r;
+      tf_result = res;
       tf_p50 = Stats.Cdf.quantile cdf 0.5;
       tf_p99 = Stats.Cdf.quantile cdf 0.99;
       tf_p999 = Stats.Cdf.quantile cdf 0.999;
@@ -1732,186 +1565,98 @@ let run_traffic () =
       (fun cpus -> row ~tech:Testbed.Carat ~cpus ~churn:churn_every)
       [ 4; 8 ]
   in
-  let all = rows @ churn_rows in
   Printf.printf "  %d flows, %d sends/CPU, heavy-tailed sizes (Pareto)\n\n"
     flows count;
-  Printf.printf "  %-9s %4s %5s %11s %11s %7s %7s %7s %5s %5s\n" "tech"
-    "cpus" "churn" "tx_pps" "rx_pps" "p50" "p99" "p999" "irqs" "drop";
-  List.iter
-    (fun s ->
-      let r = s.tf_result in
-      Printf.printf "  %-9s %4d %5d %11.0f %11.0f %7.0f %7.0f %7.0f %5d %5d\n"
-        s.tf_technique s.tf_cpus s.tf_churn r.Smp_testbed.d_tx_pps
-        r.Smp_testbed.d_rx_pps s.tf_p50 s.tf_p99 s.tf_p999
-        r.Smp_testbed.d_rx_irqs r.Smp_testbed.d_rx_dropped)
-    all;
-  print_newline ();
-  (* guarded-vs-baseline latency CDFs at 8 CPUs, cycles per frame *)
-  let lat_of tech cpus =
-    let s =
-      List.find
-        (fun s -> s.tf_technique = tech && s.tf_cpus = cpus && s.tf_churn = 0)
-        rows
-    in
-    s.tf_result.Smp_testbed.d_latencies
+  let cols =
+    Report.
+      [
+        col "technique" ~head:"tech" (fun s -> S s.tf_technique);
+        col "cpus" (fun s -> I s.tf_cpus);
+        col "churn" (fun s -> I s.tf_churn);
+        col "sent" ~show:false (fun s -> I s.tf_result.d_sent);
+        col "injected" ~show:false (fun s -> I s.tf_result.d_injected);
+        col "rx_frames" ~show:false (fun s -> I s.tf_result.d_rx_frames);
+        col "rx_dropped" ~head:"drop" (fun s -> I s.tf_result.d_rx_dropped);
+        col "tx_pps" (fun s -> F (0, s.tf_result.d_tx_pps));
+        col "rx_pps" (fun s -> F (0, s.tf_result.d_rx_pps));
+        col "lat_p50" ~head:"p50" (fun s -> F (1, s.tf_p50));
+        col "lat_p99" ~head:"p99" (fun s -> F (1, s.tf_p99));
+        col "lat_p999" ~head:"p999" (fun s -> F (1, s.tf_p999));
+        col "rx_irqs" ~head:"irqs" (fun s -> I s.tf_result.d_rx_irqs);
+        col "rx_polls" ~show:false (fun s -> I s.tf_result.d_rx_polls);
+        col "budget_exhausted" ~show:false (fun s ->
+            I s.tf_result.d_budget_exhausted);
+        col "timer_kicks" ~show:false (fun s -> I s.tf_result.d_timer_kicks);
+        col "publications" ~show:false (fun s -> I s.tf_result.d_publications);
+        col "retired" ~show:false (fun s -> I s.tf_result.d_retired);
+        col "ipis" ~show:false (fun s -> I s.tf_result.d_ipis);
+        col "stale_allows" ~show:false (fun s -> I s.tf_result.d_stale_allows);
+        col "send_errors" ~show:false (fun s -> I s.tf_result.d_send_errors);
+      ]
   in
+  Report.table r "rows" cols rows;
+  Report.table r "churn_rows" cols churn_rows;
+  print_newline ();
+  let find tech cpus =
+    List.find (fun s -> s.tf_technique = tech && s.tf_cpus = cpus) rows
+  in
+  (* guarded-vs-baseline latency CDFs at 8 CPUs, cycles per frame *)
   print_string
     (Stats.Cdf.render
        ~title:"CDF of RX arrival-to-delivery latency (8 CPUs)"
        ~unit_label:"cycles"
-       [
-         ("carat", Stats.Cdf.of_samples (lat_of "carat" 8));
-         ("baseline", Stats.Cdf.of_samples (lat_of "baseline" 8));
-       ]);
-  print_newline ();
-  (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+       (List.map
+          (fun tech ->
+            (tech, Stats.Cdf.of_samples (find tech 8).tf_result.d_latencies))
+          [ "carat"; "baseline" ]));
   List.iter
     (fun s ->
-      let r = s.tf_result in
+      let x = s.tf_result in
       let tag =
         Printf.sprintf "%s/%dcpu/churn=%d" s.tf_technique s.tf_cpus s.tf_churn
       in
-      if r.Smp_testbed.d_stale_allows <> 0 then
-        fail "%s: %d stale allows (policy coherence broken under RX)" tag
-          r.Smp_testbed.d_stale_allows;
-      if r.Smp_testbed.d_send_errors <> 0 then
-        fail "%s: %d send errors" tag r.Smp_testbed.d_send_errors;
-      if
-        r.Smp_testbed.d_rx_frames + r.Smp_testbed.d_rx_dropped
-        <> r.Smp_testbed.d_injected
-      then
-        fail "%s: frame conservation broken (%d delivered + %d dropped <> %d offered)"
-          tag r.Smp_testbed.d_rx_frames r.Smp_testbed.d_rx_dropped
-          r.Smp_testbed.d_injected;
-      if Array.length r.Smp_testbed.d_latencies <> r.Smp_testbed.d_rx_frames
-      then
-        fail "%s: %d latency samples for %d delivered frames" tag
-          (Array.length r.Smp_testbed.d_latencies)
-          r.Smp_testbed.d_rx_frames)
-    all;
-  let find tech cpus =
-    List.find
-      (fun s -> s.tf_technique = tech && s.tf_cpus = cpus && s.tf_churn = 0)
-      rows
-  in
-  (* gate: aggregate RX throughput must scale with the queue count *)
+      Report.coherence r tag ~stale:x.d_stale_allows ~send_errors:x.d_send_errors
+        ~publications:x.d_publications ~retired:x.d_retired;
+      Report.equal r (tag ^ " frame conservation") ~expected:(I x.d_injected)
+        (I (x.d_rx_frames + x.d_rx_dropped));
+      Report.equal r (tag ^ " one latency sample per delivery")
+        ~expected:(I x.d_rx_frames) (I (Array.length x.d_latencies));
+      (* the extreme tail stays a tail, not a cliff — p99 already
+         absorbs the structural waits (coalescing, descheduled queue
+         owners), so p999 blowing far past it means something
+         pathological (a clock domain mixed up, a stranded ring) *)
+      Report.at_most r (tag ^ " p999/p99") ~bound:5.0 (s.tf_p999 /. s.tf_p99))
+    (rows @ churn_rows);
+  (* aggregate RX throughput must scale with the queue count *)
   List.iter
     (fun tech ->
-      let p1 = (find tech 1).tf_result.Smp_testbed.d_rx_pps
-      and p2 = (find tech 2).tf_result.Smp_testbed.d_rx_pps
-      and p4 = (find tech 4).tf_result.Smp_testbed.d_rx_pps in
-      if not (p1 < p2 && p2 < p4) then
-        fail "%s: RX throughput not monotone 1->2->4 (%.0f %.0f %.0f)" tech p1
-          p2 p4)
+      let pps cpus = (find tech cpus).tf_result.d_rx_pps in
+      monotone r (tech ^ " rx_pps") (pps 1) (pps 2) (pps 4))
     [ "carat"; "baseline" ];
-  (* gate: guard overhead ceilings — guarded RX keeps most of baseline's
+  (* guard overhead ceilings — guarded RX keeps most of baseline's
      throughput and stays within a bounded tail blowup *)
   List.iter
     (fun cpus ->
       let c = find "carat" cpus and b = find "baseline" cpus in
-      let ratio =
-        c.tf_result.Smp_testbed.d_rx_pps /. b.tf_result.Smp_testbed.d_rx_pps
-      in
-      Printf.printf "  %d-CPU carat/baseline rx_pps ratio: %.2f\n" cpus ratio;
-      if ratio < 0.55 then
-        fail "%d CPUs: guarded RX keeps only %.0f%% of baseline pps (floor 55%%)"
-          cpus (100.0 *. ratio);
-      if c.tf_p99 > 4.0 *. b.tf_p99 then
-        fail "%d CPUs: guarded p99 %.0f vs baseline %.0f (ceiling 4x)" cpus
-          c.tf_p99 b.tf_p99)
+      let name what = Printf.sprintf "%dcpu carat/baseline %s" cpus what in
+      Report.at_least r (name "rx_pps") ~bound:0.55
+        (c.tf_result.d_rx_pps /. b.tf_result.d_rx_pps);
+      Report.at_most r (name "p99") ~bound:4.0 (c.tf_p99 /. b.tf_p99))
     [ 1; 2; 4; 8 ];
-  (* gate: the extreme tail stays a tail, not a cliff — p99 already
-     absorbs the structural waits (coalescing, descheduled queue owners),
-     so p999 blowing far past it means something pathological (a clock
-     domain mixed up, a stranded ring) *)
+  (* churn rows actually churned and frames still flowed *)
   List.iter
     (fun s ->
-      if s.tf_p999 > 5.0 *. s.tf_p99 then
-        fail "%s/%dcpu/churn=%d: p999 %.0f is %.1fx p99 %.0f (ceiling 5x)"
-          s.tf_technique s.tf_cpus s.tf_churn s.tf_p999
-          (s.tf_p999 /. s.tf_p99) s.tf_p99)
-    all;
-  (* gate: churn rows actually churned, every generation retired, and
-     frames still flowed *)
-  List.iter
-    (fun s ->
-      let r = s.tf_result in
-      if r.Smp_testbed.d_publications = 0 then
-        fail "%d-CPU churn row made no publications" s.tf_cpus;
-      if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
-        fail "%d-CPU churn row: %d of %d generations never retired" s.tf_cpus
-          (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
-          r.Smp_testbed.d_publications;
-      if r.Smp_testbed.d_rx_frames = 0 then
-        fail "%d-CPU churn row delivered no frames" s.tf_cpus)
+      let x = s.tf_result in
+      Report.gate r
+        (Printf.sprintf "%dcpu churn row published and delivered" s.tf_cpus)
+        ~bound:"publications > 0, rx_frames > 0"
+        (O [ ("publications", I x.d_publications); ("rx_frames", I x.d_rx_frames) ])
+        (x.d_publications > 0 && x.d_rx_frames > 0))
     churn_rows;
-  (* gate: rx_queues=0 (the default everywhere else) stays bit-identical
-     to the tracegate goldens — the RX subsystem must be invisible when
-     off *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"traffic/fig3" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
-  in
-  let f7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = f7 = fig7_golden in
-  Printf.printf "  rx-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  let c7, k7, m7 = f7 in
-  Printf.printf
-    "  rx-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n" c7
-    k7 m7 f7_ok;
-  if not f3_ok then
-    fail "rx_queues=0 fig3 cell differs from the pre-RX golden";
-  if not f7_ok then
-    fail "rx_queues=0 fig7 cell differs from the pre-RX golden";
-  (* ---- artifact ---- *)
-  let oc = open_out "BENCH_traffic.json" in
-  let row_json s =
-    let r = s.tf_result in
-    Printf.sprintf
-      "    {\"technique\": %S, \"cpus\": %d, \"churn\": %d, \"sent\": %d, \
-       \"injected\": %d, \"rx_frames\": %d, \"rx_dropped\": %d, \
-       \"tx_pps\": %.0f, \"rx_pps\": %.0f, \"lat_p50\": %.1f, \
-       \"lat_p99\": %.1f, \"lat_p999\": %.1f, \"rx_irqs\": %d, \
-       \"rx_polls\": %d, \"budget_exhausted\": %d, \"timer_kicks\": %d, \
-       \"publications\": %d, \"retired\": %d, \"ipis\": %d, \
-       \"stale_allows\": %d, \"send_errors\": %d}"
-      s.tf_technique s.tf_cpus s.tf_churn r.Smp_testbed.d_sent
-      r.Smp_testbed.d_injected r.Smp_testbed.d_rx_frames
-      r.Smp_testbed.d_rx_dropped r.Smp_testbed.d_tx_pps
-      r.Smp_testbed.d_rx_pps s.tf_p50 s.tf_p99 s.tf_p999
-      r.Smp_testbed.d_rx_irqs r.Smp_testbed.d_rx_polls
-      r.Smp_testbed.d_budget_exhausted r.Smp_testbed.d_timer_kicks
-      r.Smp_testbed.d_publications r.Smp_testbed.d_retired
-      r.Smp_testbed.d_ipis r.Smp_testbed.d_stale_allows
-      r.Smp_testbed.d_send_errors
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"flows\": %d,\n\
-    \  \"count_per_cpu\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"churn_rows\": [\n%s\n  ],\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    flows count
-    (String.concat ",\n" (List.map row_json rows))
-    (String.concat ",\n" (List.map row_json churn_rows))
-    f3_ok f7_ok (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_traffic.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "traffic: FAIL: %s\n") !failures;
-    exit 1
-  end
+  (* rx_queues=0 (the default everywhere else) stays bit-identical to the
+     tracegate goldens — the RX subsystem must be invisible when off *)
+  ignore (golden_gate r ~layer:"rx-off");
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -1931,37 +1676,6 @@ let run_traffic () =
    Gate 4 — Alloc_lint: the seeded double-free and use-after-free are
    caught and the driver-scale KIR lints with zero errors.
    Writes BENCH_san.json and exits nonzero on any gate failure. *)
-
-(* fig7_cell with the sanitizer enabled on the cell's kernel: same
-   seeds, same packet counts; returns the sanitize-on cycle count plus
-   the decision counters that must not move *)
-let san_fig7_cell () =
-  let config =
-    {
-      Testbed.default_config with
-      machine = Machine.Presets.r350;
-      technique = Testbed.Carat;
-      stall_prob = 0.0004;
-      engine = Vm.Engine.Interp;
-    }
-  in
-  let tb = Testbed.create ~config () in
-  Kernel.enable_sanitizer tb.Testbed.kernel;
-  let machine = Testbed.machine tb in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 200; size = 128; seed = 999 });
-  Policy.Engine.reset_stats (Policy.Policy_module.engine tb.Testbed.policy_module);
-  let c0 = Machine.Model.cycles machine in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 600; size = 128; seed = 5 });
-  let c1 = Machine.Model.cycles machine in
-  let st =
-    Policy.Engine.stats (Policy.Policy_module.engine tb.Testbed.policy_module)
-  in
-  (c1 - c0, st.Policy.Engine.checks, st.Policy.Engine.denied,
-   Kernel.san_report_count tb.Testbed.kernel)
 
 (* the seeded Alloc_lint fixtures: a must-double-free and a
    must-use-after-free (the UAF pointer is null-checked so the only
@@ -1988,41 +1702,6 @@ let build_alloc_bugs () =
 
 let run_san () =
   section "san: sanitizer pay-for-what-you-use, at-access attribution, races";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* ---- gate 1: sanitizer off => bit-identical to the goldens ---- *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"fig3/san-off" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
-  in
-  let c7, k7, m7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = (c7, k7, m7) = fig7_golden in
-  Printf.printf "  san-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  Printf.printf
-    "  san-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n" c7
-    k7 m7 f7_ok;
-  if not f3_ok then
-    fail "sanitizer-off fig3 cell differs from the pre-sanitizer golden";
-  if not f7_ok then
-    fail "sanitizer-off fig7 cell differs from the pre-sanitizer golden";
-  let sc7, sk7, sd7, s_reports = san_fig7_cell () in
-  let overhead = float_of_int (sc7 - c7) /. float_of_int c7 in
-  Printf.printf
-    "  san-on  fig7 cell: %d cycles (+%.1f%%), %d checks, %d denied, %d \
-     reports\n"
-    sc7 (100.0 *. overhead) sk7 sd7 s_reports;
-  if sk7 <> k7 then fail "sanitizer on changed the guard-check count";
-  if sd7 <> 0 then fail "sanitizer on changed guard decisions (denies)";
-  if s_reports <> 0 then fail "clean fig7 run produced sanitizer reports";
-  if sc7 <= c7 then fail "sanitizer on charged no shadow-check cycles";
-  if overhead > 0.5 then
-    fail "sanitizer overhead %.1f%% above the 50%% bound" (100.0 *. overhead);
-  (* ---- gate 2: the sanitize campaign's at-access attribution ---- *)
   (* faults are round-robined across the classes, so at least one full
      round keeps every at-access gate non-vacuous *)
   let nclasses = List.length Fault.Inject.all_classes in
@@ -2031,86 +1710,78 @@ let run_san () =
     | Some n -> max n nclasses
     | None -> if !quick then nclasses else 2 * nclasses
   in
-  let report =
+  let r = report "san" [ ("campaign_faults_per_cell", Report.I faults) ] in
+  (* ---- gate 1: sanitizer off => bit-identical to the goldens ---- *)
+  let _, (c7, k7, _) = golden_gate r ~layer:"san-off" in
+  let sc7, st, _, kernel = fig7_cell ~sanitize:true Vm.Engine.Interp in
+  Report.equal r "san-on guard checks unchanged" ~expected:(I k7)
+    (I st.Policy.Engine.checks);
+  Report.zero r "san-on denied" st.Policy.Engine.denied;
+  Report.zero r "san-on reports on a clean run" (Kernel.san_report_count kernel);
+  Report.gate r "san-on charges shadow-check cycles" ~bound:"san-on > san-off"
+    (L [ I sc7; I c7 ]) (sc7 > c7);
+  Report.at_most r "san_on_overhead" ~digits:4 ~bound:0.5
+    (float_of_int (sc7 - c7) /. float_of_int c7);
+  (* ---- gate 2: the sanitize campaign's at-access attribution ---- *)
+  let campaign =
     Fault.Campaign.run ~sanitize:true
       { Fault.Campaign.default_config with faults }
   in
-  print_string (Fault.Campaign.render report);
-  let camp_fails = Fault.Campaign.check report in
-  List.iter (fun m -> fail "campaign: %s" m) camp_fails;
+  print_string (Fault.Campaign.render campaign);
+  let camp_fails = Fault.Campaign.check campaign in
+  Report.gate r "campaign invariants" ~bound:"no violations"
+    (L (List.map (fun m -> Report.S m) camp_fails))
+    (camp_fails = []);
   let panic = Fault.Harness.Carat Policy.Policy_module.Panic in
-  List.iter
-    (fun cls ->
-      if (Fault.Campaign.cell report ~cls ~mode:panic).Fault.Campaign.injected = 0
-      then
-        fail "campaign: %s got no injections (at-access gate vacuous)"
-          (Fault.Inject.cls_to_string cls))
-    Fault.Inject.all_classes;
-  let panic_t = Fault.Campaign.totals report ~mode:panic in
+  let vacuous =
+    List.filter
+      (fun cls ->
+        (Fault.Campaign.cell campaign ~cls ~mode:panic).Fault.Campaign.injected
+        = 0)
+      Fault.Inject.all_classes
+  in
+  Report.gate r "campaign injects every class" ~bound:"no class vacuous"
+    (L (List.map (fun c -> Report.S (Fault.Inject.cls_to_string c)) vacuous))
+    (vacuous = []);
+  let panic_t = Fault.Campaign.totals campaign ~mode:panic in
+  Report.scalar r "campaign_san_hits" (I panic_t.Fault.Campaign.san_hits);
+  Report.scalar r "campaign_san_total" (I panic_t.Fault.Campaign.san_total);
+  Report.scalar r "campaign_race_hits" (I panic_t.Fault.Campaign.race_hits);
+  Report.scalar r "campaign_race_total" (I panic_t.Fault.Campaign.race_total);
   (* ---- gate 3: the race-detector fixture suite ---- *)
   let suites = Race_suites.all () in
-  print_string (Race_suites.render suites);
-  if not (Race_suites.pass suites) then fail "race fixture suite failed";
+  Report.table r "race_suites"
+    Report.
+      [
+        col "name" (fun v -> S v.Race_suites.v_name);
+        col "expect_races" (fun v -> B v.Race_suites.v_expect_races);
+        col "reports" (fun v -> I v.Race_suites.v_reports);
+        col "pass" (fun v -> B v.Race_suites.v_pass);
+      ]
+    suites;
+  Report.equal r "race fixture suite passes" ~expected:(B true)
+    (B (Race_suites.pass suites));
   (* ---- gate 4: Alloc_lint seeded bugs + clean driver-scale KIR ---- *)
   let bugs = Analysis.Alloc_lint.lint (build_alloc_bugs ()) in
-  let has code =
-    List.exists (fun f -> f.Analysis.Kir_lint.code = code) bugs
-  in
-  Printf.printf "  alloc-lint seeded fixture: %d finding(s)\n"
-    (List.length bugs);
   List.iter
     (fun f -> Printf.printf "    %s\n" (Analysis.Kir_lint.finding_to_string f))
     bugs;
-  if not (has "L-double-free") then
-    fail "alloc lint missed the seeded double-free";
-  if not (has "L-use-after-free") then
-    fail "alloc lint missed the seeded use-after-free";
+  Report.scalar r "alloc_lint_seeded_findings" (I (List.length bugs));
+  List.iter
+    (fun code ->
+      Report.equal r ("alloc lint finds the seeded " ^ code) ~expected:(B true)
+        (B (List.exists (fun f -> f.Analysis.Kir_lint.code = code) bugs)))
+    [ "L-double-free"; "L-use-after-free" ];
   let driver =
     Nic.Driver_gen.generate ~module_scale:12 ~rx_queues:2
       ~tx_queues:Nic.Regs.max_tx_queues ()
   in
   let driver_findings = Analysis.Alloc_lint.lint driver in
-  let driver_errs = Analysis.Kir_lint.errors driver_findings in
-  Printf.printf "  alloc-lint driver-scale KIR: %d error(s), %d warning(s)\n"
-    (List.length driver_errs)
-    (List.length (Analysis.Kir_lint.warnings driver_findings));
-  if driver_errs <> [] then
-    fail "alloc lint false positives on the clean driver KIR";
-  (* ---- artifact ---- *)
-  let suite_json v =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"expect_races\": %b, \"reports\": %d, \
-       \"pass\": %b}"
-      v.Race_suites.v_name v.Race_suites.v_expect_races
-      v.Race_suites.v_reports v.Race_suites.v_pass
-  in
-  let oc = open_out "BENCH_san.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"san_on_overhead\": %.4f,\n\
-    \  \"campaign_faults_per_cell\": %d,\n\
-    \  \"campaign_san_hits\": %d,\n\
-    \  \"campaign_san_total\": %d,\n\
-    \  \"campaign_race_hits\": %d,\n\
-    \  \"campaign_race_total\": %d,\n\
-    \  \"race_suites\": [\n%s\n  ],\n\
-    \  \"alloc_lint_seeded_findings\": %d,\n\
-    \  \"alloc_lint_driver_errors\": %d,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    f3_ok f7_ok overhead faults panic_t.Fault.Campaign.san_hits
-    panic_t.Fault.Campaign.san_total panic_t.Fault.Campaign.race_hits
-    panic_t.Fault.Campaign.race_total
-    (String.concat ",\n" (List.map suite_json suites))
-    (List.length bugs) (List.length driver_errs) (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_san.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "san: FAIL: %s\n") (List.rev !failures);
-    exit 1
-  end
+  Report.scalar r "alloc_lint_driver_warnings"
+    (I (List.length (Analysis.Kir_lint.warnings driver_findings)));
+  Report.zero r "alloc_lint_driver_errors"
+    (List.length (Analysis.Kir_lint.errors driver_findings));
+  Report.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -2143,9 +1814,6 @@ let () =
   let rec parse = function
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
       parse rest
     | "--engine" :: e :: rest ->
       (match Vm.Engine.kind_of_string e with

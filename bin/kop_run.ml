@@ -148,8 +148,15 @@ let run module_path policy_path call args machine_name engine_name opt_str
     if guard_trace then
       Trace.start (Policy.Policy_module.enable_trace pm);
     (match policy_path with
-    | Some path ->
-      Policy.Policy_file.apply_module (Policy.Policy_file.load path) pm
+    | Some path -> (
+      match
+        Policy.Policy_file.apply_module (Policy.Policy_file.load path) pm
+      with
+      | Ok () -> ()
+      | Error e ->
+        Printf.eprintf "kop_run: %s: %s\n" path
+          (Policy.Structure.add_error_to_string e);
+        exit 2)
     | None -> Policy.Policy_module.set_policy pm Policy.Region.kernel_only);
     (* an explicit --mode overrides whatever the policy file says *)
     (match mode_str with

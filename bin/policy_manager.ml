@@ -32,6 +32,16 @@ let load_or_empty path =
       regions = [];
     }
 
+(* Load a policy file into a live engine, or exit 2 with the typed
+   reason when the engine cannot hold it (e.g. more than 64 regions). *)
+let apply_or_exit file t engine =
+  match Policy.Policy_file.apply t engine with
+  | Ok () -> ()
+  | Error e ->
+    Printf.eprintf "policy_manager: %s: %s\n" file
+      (Policy.Structure.add_error_to_string e);
+    exit 2
+
 let cmd_init output =
   let t = Policy.Policy_file.kernel_only in
   (match output with
@@ -92,7 +102,7 @@ let cmd_check file addr size write =
   let t = Policy.Policy_file.load file in
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   let engine = Policy.Engine.create kernel in
-  Policy.Policy_file.apply t engine;
+  apply_or_exit file t engine;
   let flags =
     if write then Policy.Region.prot_write else Policy.Region.prot_read
   in
@@ -311,16 +321,13 @@ let cmd_domains file count =
    with the policy loaded (audit mode, so denied probes don't panic) and
    the site inline cache on, so the fast-tier counters have something to
    show. Returns the kernel and policy module. *)
-let observability_kernel t =
+let observability_kernel file t =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   let pm =
     Policy.Policy_module.install ~on_deny:Policy.Policy_module.Audit
       ~site_cache:true kernel
   in
-  Policy.Policy_module.set_policy pm t.Policy.Policy_file.regions;
-  Policy.Engine.set_default_allow
-    (Policy.Policy_module.engine pm)
-    t.Policy.Policy_file.default_allow;
+  apply_or_exit file t (Policy.Policy_module.engine pm);
   (kernel, pm)
 
 (* Deterministic probe workload: three rounds over every region (read at
@@ -391,7 +398,7 @@ let cmd_stats file opt_str =
         exit 2)
   in
   let t = Policy.Policy_file.load file in
-  let kernel, pm = observability_kernel t in
+  let kernel, pm = observability_kernel file t in
   (* attach the trace ring through the operator ioctl, as a root tool
      would, then drive the probe so the counters are live *)
   ignore
@@ -458,7 +465,7 @@ let cmd_netstats cpus =
 
 let cmd_trace file =
   let t = Policy.Policy_file.load file in
-  let kernel, pm = observability_kernel t in
+  let kernel, pm = observability_kernel file t in
   ignore
     (Kernel.ioctl kernel ~dev:"carat"
        ~cmd:Policy.Policy_module.ioctl_trace_start ~arg:0);
@@ -510,7 +517,7 @@ let cmd_storm file cpus updates =
       Printf.eprintf "policy_manager: %s has no regions to churn\n" file;
       1
     | victim :: _ ->
-      let kernel, pm = observability_kernel t in
+      let kernel, pm = observability_kernel file t in
       let engine = Policy.Policy_module.engine pm in
       Policy.Engine.set_verify engine true;
       let smp =
@@ -619,10 +626,7 @@ let cmd_audit file =
       Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
         ~on_deny:Policy.Policy_module.Audit kernel
     in
-    Policy.Policy_module.set_policy pm t.Policy.Policy_file.regions;
-    Policy.Engine.set_default_allow
-      (Policy.Policy_module.engine pm)
-      t.Policy.Policy_file.default_allow;
+    apply_or_exit file t (Policy.Policy_module.engine pm);
     let wd = Policy.Policy_module.enable_watchdog ~period:5_000 pm in
     let ig =
       match Policy.Policy_module.integrity pm with

@@ -378,16 +378,24 @@ let reset_stats t =
       v.v_stale <- 0)
     t.views
 
-(** Load a whole policy (clearing the current one); errors abort. *)
-let set_policy t rs =
+(** Add [rs] in order; the first refused add stops the walk and is
+    returned, leaving the regions before it live. *)
+let rec add_regions t = function
+  | [] -> Ok ()
+  | r :: rest -> Result.bind (add_region t r) (fun () -> add_regions t rest)
+
+(** Load a whole policy, clearing the current one. *)
+let load_policy t rs =
   clear t;
-  List.iter
-    (fun r ->
-      match add_region t r with
-      | Ok () -> ()
-      | Error e ->
-        invalid_arg ("Engine.set_policy: " ^ Structure.add_error_to_string e))
-    rs
+  add_regions t rs
+
+(** [load_policy] for callers whose policy is known to fit; a refused
+    add is a programming error. *)
+let set_policy t rs =
+  match load_policy t rs with
+  | Ok () -> ()
+  | Error e ->
+    invalid_arg ("Engine.set_policy: " ^ Structure.add_error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* RCU-style publication *)

@@ -119,13 +119,16 @@ let kernel_only : t =
   }
 
 (** Apply a policy file to a live engine (regions and default only; the
-    enforcement mode lives on the policy module — see {!apply_module}). *)
-let apply (t : t) (engine : Engine.t) =
+    enforcement mode lives on the policy module — see {!apply_module}).
+    A file with more regions than the engine holds, or with regions its
+    structure cannot represent, is refused with the first add error. *)
+let apply (t : t) (engine : Engine.t) : (unit, Structure.add_error) result =
   engine.Engine.default_allow <- t.default_allow;
-  Engine.set_policy engine t.regions
+  Engine.load_policy engine t.regions
 
 (** Apply a policy file to a live policy module: regions, default action
     and enforcement mode. *)
 let apply_module (t : t) (pm : Policy_module.t) =
-  apply t (Policy_module.engine pm);
-  Policy_module.set_on_deny pm t.mode
+  Result.map
+    (fun () -> Policy_module.set_on_deny pm t.mode)
+    (apply t (Policy_module.engine pm))

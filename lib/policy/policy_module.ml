@@ -332,21 +332,16 @@ let apply_in_place t (m : mutation) : int =
       (* the whole batch provably cannot fit: reject before mutating *)
       Kernel.enospc
     else begin
-      let rec go = function
-        | [] -> 0
-        | r :: rest -> (
-          match Engine.add_region t.engine r with
-          | Ok () -> go rest
-          | Error e ->
-            (* mid-batch failure: restore the pre-batch policy so the
-               caller observes all-or-nothing, matching the RCU route *)
-            Engine.set_policy t.engine snapshot;
-            Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
-              "carat ioctl install: %s (batch of %d rolled back)"
-              (Structure.add_error_to_string e) (List.length rs);
-            Structure.errno e)
-      in
-      go rs
+      match Engine.add_regions t.engine rs with
+      | Ok () -> 0
+      | Error e ->
+        (* mid-batch failure: restore the pre-batch policy so the
+           caller observes all-or-nothing, matching the RCU route *)
+        Engine.set_policy t.engine snapshot;
+        Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
+          "carat ioctl install: %s (batch of %d rolled back)"
+          (Structure.add_error_to_string e) (List.length rs);
+        Structure.errno e
     end
   | M_replace (rs, default_allow) ->
     Engine.set_policy t.engine rs;

@@ -424,6 +424,32 @@ let test_kop_run_sanitize () =
   checki "sanitized run stays clean" 0
     (sh "%s %s --sanitize --call e1000e_eeprom_read --args 1" kop_run drv)
 
+(* a policy file with more regions than the 64-entry table: every tool
+   that loads it into an engine exits 2 with the typed reason *)
+let test_over_capacity_policy () =
+  let drv = tmp "cli_big.kir" in
+  let pol = tmp "cli_big.kop" in
+  checki "emit" 0 (sh "%s --emit-driver --scale 1 -o %s" kop_compile drv);
+  Carat_kop.Policy.Policy_file.save pol
+    {
+      Carat_kop.Policy.Policy_file.kernel_only with
+      regions = Carat_kop.Policy.Region.padding 70;
+    };
+  List.iter
+    (fun (what, cmd) ->
+      let code, out = cmd () in
+      checki (what ^ " exit") 2 code;
+      checkb (what ^ " says why") true
+        (contains out "policy table full (64 regions)"))
+    [
+      ("kop_run", fun () ->
+          sh_out "%s %s --policy %s --call e1000e_eeprom_read --args 1" kop_run
+            drv pol);
+      ("stats", fun () -> sh_out "%s stats %s" policy_manager pol);
+      ("check", fun () -> sh_out "%s check %s --addr 0x2000" policy_manager pol);
+      ("audit", fun () -> sh_out "%s audit %s" policy_manager pol);
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -445,6 +471,8 @@ let () =
           Alcotest.test_case "domains" `Quick test_policy_manager_domains;
           Alcotest.test_case "remove peels one" `Quick
             test_policy_manager_remove_first_occurrence;
+          Alcotest.test_case "over-capacity file exits 2" `Quick
+            test_over_capacity_policy;
         ] );
       ( "kop_run",
         [

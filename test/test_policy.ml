@@ -589,21 +589,30 @@ let test_policy_file_errors () =
 
 let test_policy_file_apply () =
   let k = fresh () in
-  let e = Policy.Engine.create k in
-  Policy.Policy_file.apply
-    {
-      Policy.Policy_file.default_allow = true;
-      mode = Policy.Policy_module.Panic;
-      domain = "";
-      regions = [ region ~prot:0 0x5000 0x1000 ];
-    }
-    e;
-  (match Policy.Engine.check e ~addr:0x5100 ~size:8 ~flags:1 with
-  | Policy.Engine.Denied (Some _) -> ()
-  | _ -> Alcotest.fail "explicit deny rule ignored");
-  match Policy.Engine.check e ~addr:0x9000 ~size:8 ~flags:1 with
-  | Policy.Engine.Allowed None -> ()
-  | _ -> Alcotest.fail "default allow ignored"
+  let apply regions =
+    let e = Policy.Engine.create k in
+    let file =
+      {
+        Policy.Policy_file.default_allow = true;
+        mode = Policy.Policy_module.Panic;
+        domain = "";
+        regions;
+      }
+    in
+    (e, Policy.Policy_file.apply file e)
+  in
+  (let e, r = apply [ region ~prot:0 0x5000 0x1000 ] in
+   checkb "applied" true (r = Ok ());
+   (match Policy.Engine.check e ~addr:0x5100 ~size:8 ~flags:1 with
+   | Policy.Engine.Denied (Some _) -> ()
+   | _ -> Alcotest.fail "explicit deny rule ignored");
+   match Policy.Engine.check e ~addr:0x9000 ~size:8 ~flags:1 with
+   | Policy.Engine.Allowed None -> ()
+   | _ -> Alcotest.fail "default allow ignored");
+  (* more regions than the 64-entry table holds: a typed refusal, not an
+     exception *)
+  let _, r = apply (Policy.Region.padding 70) in
+  checkb "over capacity refused" true (r = Error (Policy.Structure.Full 64))
 
 
 (* ---------- interval tree ---------- *)
