@@ -203,10 +203,15 @@ let check_alive t = if t.panicked <> None then panic t "action on dead kernel"
 
 let kernel_image_phys_size = Layout.kernel_text_size + Layout.kernel_data_size
 
+(* [translate]'s first arm, on its own so that {!read} and {!write} can
+   take it without building a [`Phys] block per access *)
+let in_direct_map t addr size =
+  addr >= Layout.direct_map_base
+  && addr + size <= Layout.direct_map_base + t.phys_size
+
 let translate t addr size :
     [ `Phys of int | `Mmio of mmio_region * int | `Fault ] =
-  if addr >= Layout.direct_map_base && addr + size <= Layout.direct_map_base + t.phys_size
-  then `Phys (addr - Layout.direct_map_base)
+  if in_direct_map t addr size then `Phys (addr - Layout.direct_map_base)
   else if
     addr >= Layout.kernel_text_base
     && addr + size <= Layout.kernel_data_base + Layout.kernel_data_size
@@ -309,6 +314,11 @@ let san_access t ~addr ~size ~write =
     This is the path taken by all CPU-side accesses, guarded or not. *)
 let read t ~addr ~size =
   san_access t ~addr ~size ~write:false;
+  if in_direct_map t addr size then begin
+    Machine.Model.load t.machine addr size;
+    Memory.read t.mem (addr - Layout.direct_map_base) ~size
+  end
+  else
   match translate t addr size with
   | `Phys p ->
     Machine.Model.load t.machine addr size;
@@ -320,6 +330,11 @@ let read t ~addr ~size =
 
 let write t ~addr ~size v =
   san_access t ~addr ~size ~write:true;
+  if in_direct_map t addr size then begin
+    Machine.Model.store t.machine addr size;
+    Memory.write t.mem (addr - Layout.direct_map_base) ~size v
+  end
+  else
   match translate t addr size with
   | `Phys p ->
     Machine.Model.store t.machine addr size;

@@ -19,23 +19,46 @@ let write_u8 t addr v =
   check t addr 1;
   Bytes.set t.bytes addr (Char.chr (v land 0xff))
 
+(* Byte-at-a-time forms for sizes other than 1, 2, 4 and 8. The word
+   accessors below load and store exactly the bytes these would. *)
+let rec read_bytes b addr size acc i =
+  if i = size then acc
+  else
+    read_bytes b addr size
+      (acc lor (Char.code (Bytes.get b (addr + i)) lsl (8 * i)))
+      (i + 1)
+
+let write_bytes b addr size v =
+  for i = 0 to size - 1 do
+    Bytes.set b (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
 (** Little-endian load of [size] ∈ {1,2,4,8} bytes. 8-byte loads are
     truncated to OCaml's 63-bit int range (top bit lost — documented
-    simulator restriction). *)
+    simulator restriction). The common sizes are single word accesses;
+    each returns exactly what the byte loop would. *)
 let read t addr ~size =
   check t addr size;
-  let rec go acc i =
-    if i = size then acc
-    else
-      go (acc lor (Char.code (Bytes.get t.bytes (addr + i)) lsl (8 * i))) (i + 1)
-  in
-  go 0 0 land max_int
+  match size with
+  | 1 -> Bytes.get_uint8 t.bytes addr
+  | 2 -> Bytes.get_uint16_le t.bytes addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le t.bytes addr) land 0xffff_ffff
+  | 8 -> Int64.to_int (Bytes.get_int64_le t.bytes addr) land max_int
+  | _ -> read_bytes t.bytes addr size 0 0 land max_int
 
+(** Little-endian store of the low [size] bytes of [v]. An OCaml int has
+    63 bits, so the byte loop's eighth byte never carries bit 63; the
+    8-byte word store masks it off to write the same bytes. *)
 let write t addr ~size v =
   check t addr size;
-  for i = 0 to size - 1 do
-    Bytes.set t.bytes (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
+  match size with
+  | 1 -> Bytes.set_uint8 t.bytes addr v
+  | 2 -> Bytes.set_uint16_le t.bytes addr v
+  | 4 -> Bytes.set_int32_le t.bytes addr (Int32.of_int v)
+  | 8 ->
+    Bytes.set_int64_le t.bytes addr
+      (Int64.logand (Int64.of_int v) 0x7fff_ffff_ffff_ffffL)
+  | _ -> write_bytes t.bytes addr size v
 
 let blit_string t ~dst s =
   check t dst (String.length s);
@@ -57,7 +80,7 @@ let fill t ~dst ~len c =
 (** Copy of the first [len] bytes (default: all) of physical memory, for
     before/after diffing by the fault-containment harness. *)
 let snapshot ?len t =
-  let len = match len with Some l -> min l t.size | None -> t.size in
+  let len = match len with Some l -> Int.min l t.size | None -> t.size in
   Bytes.sub t.bytes 0 len
 
 (** Contiguous [(offset, length)] ranges over [0, length snap) where the
@@ -65,7 +88,7 @@ let snapshot ?len t =
     eight bytes at a time so diffing megabytes of unchanged DRAM between
     fault injections stays cheap. *)
 let diff_ranges t snap =
-  let n = min (Bytes.length snap) t.size in
+  let n = Int.min (Bytes.length snap) t.size in
   let ranges = ref [] in
   let run_start = ref (-1) in
   let flush upto =

@@ -31,7 +31,7 @@ let floor_pow2 n =
 
 let create ~name ~size_bytes ~assoc ~line_size =
   let lines = size_bytes / line_size in
-  let sets = floor_pow2 (max 1 (lines / assoc)) in
+  let sets = floor_pow2 (Int.max 1 (lines / assoc)) in
   ignore (log2_exact line_size);
   {
     name;
@@ -51,13 +51,16 @@ let tag_of t addr = addr lsr t.line_bits
 (* Way scans as top-level functions with explicit arguments: a local
    [let rec] would capture its environment and allocate a closure per
    probe, and the probe sits on the guard fast path, which must not
-   allocate. Integer-returning (-1 = miss), no option/ref intermediates. *)
-let rec find_way tags base assoc tag w =
+   allocate. Integer-returning (-1 = miss), no option/ref intermediates.
+   The [int array]/[int] annotations matter as much: left to inference
+   the scans are polymorphic in the element type, and every [=] and [<]
+   becomes a C call into [caml_equal]/[caml_lessthan] on each probe. *)
+let rec find_way (tags : int array) base assoc (tag : int) w =
   if w = assoc then -1
   else if tags.(base + w) = tag then w
   else find_way tags base assoc tag (w + 1)
 
-let rec worst_way lru base assoc w best =
+let rec worst_way (lru : int array) base assoc w best =
   if w = assoc then best
   else
     worst_way lru base assoc (w + 1)

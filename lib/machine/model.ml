@@ -53,6 +53,13 @@ type t = {
   l2 : Cache.t;
   l3 : Cache.t;
   bp : Predictor.t;
+  l1_hit_ticks : int;
+  l2_ticks : int;
+  l3_ticks : int;
+  mem_ticks : int;
+  predicted_ticks : int;
+      (** per-level line costs and the predicted-branch cost, fixed by
+          [p]; computed once in {!create} so a probe does no division *)
   mutable ticks : int;
   mutable instructions : int;
   mutable loads : int;
@@ -76,6 +83,11 @@ let create (p : params) : t =
     bp =
       Predictor.create ~entries_log2:p.predictor_entries_log2
         ~history_bits:p.predictor_history_bits;
+    l1_hit_ticks = p.l1_latency * ticks_per_cycle / p.issue_width;
+    l2_ticks = p.l2_latency * ticks_per_cycle;
+    l3_ticks = p.l3_latency * ticks_per_cycle;
+    mem_ticks = p.mem_latency * ticks_per_cycle;
+    predicted_ticks = ticks_per_cycle / p.issue_width;
     ticks = 0;
     instructions = 0;
     loads = 0;
@@ -102,11 +114,10 @@ let retire t n =
     line, so a hit costs latency/width; misses expose their full
     latency. *)
 let hierarchy_cost_ticks t addr =
-  if Cache.access t.l1 addr then
-    t.p.l1_latency * ticks_per_cycle / t.p.issue_width
-  else if Cache.access t.l2 addr then t.p.l2_latency * ticks_per_cycle
-  else if Cache.access t.l3 addr then t.p.l3_latency * ticks_per_cycle
-  else t.p.mem_latency * ticks_per_cycle
+  if Cache.access t.l1 addr then t.l1_hit_ticks
+  else if Cache.access t.l2 addr then t.l2_ticks
+  else if Cache.access t.l3 addr then t.l3_ticks
+  else t.mem_ticks
 
 (* Sum of line costs for [addr, lines), accumulated without a ref cell:
    loads sit on the guard fast path, which must not allocate. Lines are
@@ -122,7 +133,7 @@ let rec lines_cost_ticks t addr lines l acc =
 let load t addr size =
   t.loads <- t.loads + 1;
   t.instructions <- t.instructions + 1;
-  let lines = max 1 (Cache.lines_touched t.l1 addr size) in
+  let lines = Int.max 1 (Cache.lines_touched t.l1 addr size) in
   add_ticks t (lines_cost_ticks t addr lines 0 0)
 
 (** A data store. With a store buffer, stores retire quickly; cache fill
@@ -130,15 +141,14 @@ let load t addr size =
 let store t addr size =
   t.stores <- t.stores + 1;
   t.instructions <- t.instructions + 1;
-  let lines = max 1 (Cache.lines_touched t.l1 addr size) in
+  let lines = Int.max 1 (Cache.lines_touched t.l1 addr size) in
   add_ticks t (lines_cost_ticks t addr lines 0 0 / 2)
 
 (** Conditional branch at site [pc] with outcome [taken]. *)
 let branch t ~pc ~taken =
   t.branches <- t.branches + 1;
   t.instructions <- t.instructions + 1;
-  if Predictor.branch t.bp ~pc ~taken then
-    add_ticks t (ticks_per_cycle / t.p.issue_width)
+  if Predictor.branch t.bp ~pc ~taken then add_ticks t t.predicted_ticks
   else add_cycles t t.p.mispredict_penalty
 
 let call t =
@@ -162,8 +172,8 @@ let mmio_write t =
     cache. Charged at [size/word] loads+stores with streaming behaviour
     approximated by touching each line once. *)
 let memcpy t ~dst ~src size =
-  let lines_src = max 1 (Cache.lines_touched t.l1 src size) in
-  let lines_dst = max 1 (Cache.lines_touched t.l1 dst size) in
+  let lines_src = Int.max 1 (Cache.lines_touched t.l1 src size) in
+  let lines_dst = Int.max 1 (Cache.lines_touched t.l1 dst size) in
   let cost = ref 0 in
   for l = 0 to lines_src - 1 do
     cost := !cost + hierarchy_cost_ticks t (src + (l * t.p.line_size))

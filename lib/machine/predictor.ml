@@ -32,13 +32,13 @@ let index t pc =
 (** Record an executed branch outcome; true = predicted correctly. *)
 let branch t ~pc ~taken =
   let i = index t pc in
-  let c = Char.code (Bytes.get t.counters i) in
+  let c = Bytes.get_uint8 t.counters i in
   let prediction = c >= 2 in
   let correct = prediction = taken in
   if correct then t.predicted <- t.predicted + 1
   else t.mispredicted <- t.mispredicted + 1;
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-  Bytes.set t.counters i (Char.chr c');
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
+  Bytes.set_uint8 t.counters i c';
   t.history <-
     ((t.history lsl 1) lor (if taken then 1 else 0))
     land ((1 lsl t.history_bits) - 1);

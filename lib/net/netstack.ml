@@ -214,14 +214,14 @@ let try_sendmsg t ~user_buf ~len : (int, send_error) result =
         t.busy_retries <- t.busy_retries + 1;
         t.deschedules <- t.deschedules + 1;
         let wake =
-          Nic.Device.next_completion_cycle ~q:(max t.queue 0) t.device
+          Nic.Device.next_completion_cycle ~q:(Int.max t.queue 0) t.device
         in
         let now = Machine.Model.cycles machine in
-        let sleep = max 0 (wake - now) in
+        let sleep = Int.max 0 (wake - now) in
         let penalty =
           Machine.Rng.jitter t.noise ~mean:t.deschedule_mean_cycles
             ~max:(6 * t.deschedule_mean_cycles)
-          + (t.deschedule_mean_cycles * min tries 16)
+          + (t.deschedule_mean_cycles * Int.min tries 16)
           +
           if Machine.Rng.flip t.noise t.major_deschedule_prob then
             Machine.Rng.jitter t.noise ~mean:4_000_000 ~max:16_000_000
@@ -253,4 +253,4 @@ let sent t = t.sent
 let busy_retries t = t.busy_retries
 let deschedules t = t.deschedules
 let send_errors t = t.send_errors
-let set_max_retries t n = t.max_retries <- max 0 n
+let set_max_retries t n = t.max_retries <- Int.max 0 n

@@ -56,9 +56,9 @@ let create ?(budget = 32) ?(coalesce = 1) ?(timer_passes = 4) ?trace kernel
   {
     kernel;
     device;
-    budget = max 1 budget;
-    coalesce = max 1 coalesce;
-    timer_passes = max 1 timer_passes;
+    budget = Int.max 1 budget;
+    coalesce = Int.max 1 coalesce;
+    timer_passes = Int.max 1 timer_passes;
     trace;
     qs =
       Array.init queues (fun q ->
@@ -138,7 +138,7 @@ let poll_once t ~q =
     (* a quarantined driver's calls return a negative errno; treat that
        as an empty poll so the loop re-arms and counters stay sane *)
     let n =
-      max 0 (Kernel.call_symbol t.kernel "e1000e_napi_poll" [| q; t.budget |])
+      Int.max 0 (Kernel.call_symbol t.kernel "e1000e_napi_poll" [| q; t.budget |])
     in
     claim_stamps t qs n;
     qs.frames <- qs.frames + n;
@@ -210,7 +210,7 @@ let latencies t ~q = List.rev t.qs.(q).lats
 (** All queues' latencies as one float array (for {!Stats.Cdf}). *)
 let all_latencies t =
   let n = Array.fold_left (fun a q -> a + List.length q.lats) 0 t.qs in
-  let out = Array.make (max 1 n) 0.0 in
+  let out = Array.make (Int.max 1 n) 0.0 in
   let i = ref 0 in
   Array.iter
     (fun q ->

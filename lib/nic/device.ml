@@ -162,7 +162,7 @@ let sync ?upto t =
         Kernel.dma_read t.kernel ~addr:(desc + Regs.desc_len_off) ~size:2
       in
       let posted = q_posted q in
-      let start = max t.busy_until posted in
+      let start = Int.max t.busy_until posted in
       (* random flow-control pause before this frame *)
       let pause =
         if t.stall_prob > 0.0 && Machine.Rng.flip t.rng t.stall_prob then
@@ -213,7 +213,7 @@ let next_completion_cycle ?(q = 0) t =
       Kernel.dma_read t.kernel ~addr:(desc + Regs.desc_len_off) ~size:2
     in
     let posted = q_posted q in
-    max (max t.busy_until posted) (now t) + wire_cycles t len
+    Int.max (Int.max t.busy_until posted) (now t) + wire_cycles t len
   end
 
 (* TX queue register blocks: [Regs.tdbal + q * Regs.txq_stride]. *)
@@ -317,7 +317,7 @@ let handle_write t off size v =
     else if sub = Regs.tdlen then begin
       reg_write t off v;
       q.q_entries <- v / Regs.desc_size;
-      q.q_post <- Array.make (max 1 q.q_entries) 0
+      q.q_post <- Array.make (Int.max 1 q.q_entries) 0
     end
     else if sub = Regs.tdh then begin
       q.q_tdh <- v;
@@ -356,7 +356,7 @@ let handle_write t off size v =
         end
       end
       else if sub = Regs.rxq_rdtr_off then begin
-        r.r_coalesce <- max 1 v;
+        r.r_coalesce <- Int.max 1 v;
         reg_write t off r.r_coalesce
       end
       else if sub = Regs.rxq_mask_off then begin
@@ -367,7 +367,7 @@ let handle_write t off size v =
     | None ->
       if off = Regs.mrqc then begin
         reg_write t off v;
-        t.rss_queues <- max 0 (min v Regs.max_rx_queues)
+        t.rss_queues <- Int.max 0 (Int.min v Regs.max_rx_queues)
       end
       else if off = Regs.ctrl && v land Regs.ctrl_rst <> 0 then begin
         (* device reset *)
@@ -531,7 +531,7 @@ let rx_inject_q ?stamp t qi (data : string) : bool =
     r.r_bytes <- r.r_bytes + len;
     Queue.push (match stamp with Some s -> s | None -> now t) r.r_stamps;
     r.r_unack <- r.r_unack + 1;
-    if r.r_unack >= max 1 r.r_coalesce then begin
+    if r.r_unack >= Int.max 1 r.r_coalesce then begin
       r.r_unack <- 0;
       latch_rx_cause t qi Regs.icr_rxt0
     end;
@@ -576,7 +576,7 @@ let rx_fire_timer t ~q =
     [q] — one per frame the driver just consumed, oldest first. *)
 let rx_take_stamps t ~q n =
   let r = t.rxqs.(q) in
-  let k = min n (Queue.length r.r_stamps) in
+  let k = Int.min n (Queue.length r.r_stamps) in
   Array.init k (fun _ -> Queue.pop r.r_stamps)
 
 let rxq_frames t ~q = t.rxqs.(q).r_frames

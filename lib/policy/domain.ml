@@ -70,6 +70,7 @@ type t = {
   mutable next_id : int;
   shard_vaddrs : int array;  (** simulated tag array per shard *)
   shards : slot array array;
+  shard_pcs : int array array;  (** branch-site id of every slot *)
   mutable creates : int;
   mutable destroys : int;
   mutable publications : int;
@@ -103,6 +104,10 @@ let create ?(fast_capacity = Linear_table.default_capacity)
                 sl_prot = 0;
                 sl_depth = 0;
               }));
+    shard_pcs =
+      Array.init shard_count (fun shard ->
+          Array.init shard_slots (fun idx ->
+              Structure.branch_site ("dom-shadow", shard, idx)));
     creates = 0;
     destroys = 0;
     publications = 0;
@@ -359,7 +364,7 @@ let check t ~domain ~addr ~size ~flags : bool =
       && single_page && flags <> 0
     in
     Machine.Model.branch machine
-      ~pc:(Hashtbl.hash ("dom-shadow", shard, idx))
+      ~pc:t.shard_pcs.(shard).(idx)
       ~taken:hit;
     if hit && flags land sl.sl_prot = flags then begin
       d.d_sh_hits <- d.d_sh_hits + 1;

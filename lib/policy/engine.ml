@@ -257,7 +257,12 @@ let view_set_trace v tr = v.v_trace <- tr
 let view_last_deny v = v.v_last_deny
 let view_stale_allows v = v.v_stale
 
-let canary_value i = Hashtbl.hash ("ic-canary", i)
+(* the expected canary of each inline-cache slot, hashed once for every
+   fill and every integrity audit to read *)
+let canary_values =
+  Array.init site_cache_size (fun i -> Hashtbl.hash ("ic-canary", i))
+
+let canary_value i = canary_values.(i)
 
 let alloc_site_cache kernel =
   {
@@ -265,7 +270,7 @@ let alloc_site_cache kernel =
     sc_epoch = Array.make site_cache_size (-1);
     sc_page = Array.make site_cache_size (-1);
     sc_prot = Array.make site_cache_size 0;
-    sc_canary = Array.init site_cache_size canary_value;
+    sc_canary = Array.copy canary_values;
     sc_pcs = Array.init site_cache_size (fun i -> Hashtbl.hash ("site-ic", i));
     sc_depth = Array.make site_cache_size 0;
     sc_rbase = Array.make site_cache_size (-1);
@@ -586,7 +591,7 @@ let fill_site sc t ~i ~page =
     let machine = Kernel.machine t.kernel in
     (* classification arithmetic + the tag store; the walk itself was
        already charged by the exact lookup, like a TLB miss's page walk *)
-    Machine.Model.retire machine (2 * max 1 (Structure.count t.instance));
+    Machine.Model.retire machine (2 * Int.max 1 (Structure.count t.instance));
     Machine.Model.store machine (sc.sc_vaddr + (i * 16)) 8
 
 (** Boolean fast-path check: allocation-free on an inline-cache hit, and

@@ -185,6 +185,11 @@ let remove t ~base =
   end
   else false
 
+(* branch-site ids of the two descent branches per node slot, hashed
+   once rather than per visit *)
+let left_pcs = Array.init 256 (fun k -> Structure.branch_site ("itree-l", k))
+let right_pcs = Array.init 256 (fun k -> Structure.branch_site ("itree-r", k))
+
 let lookup t ~addr ~size : Structure.outcome =
   let machine = Kernel.machine t.kernel in
   let scanned = ref 0 in
@@ -205,13 +210,13 @@ let lookup t ~addr ~size : Structure.outcome =
       touch_node t c;
       let left = maxlim_of c.left > addr in
       Machine.Model.branch machine
-        ~pc:(Hashtbl.hash ("itree-l", c.vaddr land 0xff))
+        ~pc:left_pcs.(c.vaddr land 0xff)
         ~taken:left;
       if left then go c.left;
       consider c;
       let right = c.region.Region.base <= addr && maxlim_of c.right > addr in
       Machine.Model.branch machine
-        ~pc:(Hashtbl.hash ("itree-r", c.vaddr land 0xff))
+        ~pc:right_pcs.(c.vaddr land 0xff)
         ~taken:right;
       if right then go c.right
   in

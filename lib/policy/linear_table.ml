@@ -18,6 +18,8 @@ type t = {
   capacity : int;
   mutable entries : Region.t array;  (** mirror of kernel memory, in order *)
   mutable n : int;
+  group_pc : int array;  (** branch-site id of each 8-entry group *)
+  exit_pc : int;  (** branch-site id of the loop exit *)
 }
 
 let name = "linear"
@@ -30,6 +32,10 @@ let create kernel ~capacity =
     capacity;
     entries = Array.make capacity (Region.v ~base:0 ~len:1 ~prot:0 ());
     n = 0;
+    group_pc =
+      Array.init ((capacity + 7) / 8) (fun g ->
+          Structure.branch_site ("lin", base_vaddr, g));
+    exit_pc = Structure.branch_site ("lin-exit", base_vaddr);
   }
 
 let entry_addr t i = t.base_vaddr + (i * entry_size)
@@ -89,7 +95,7 @@ let lookup t ~addr ~size : Structure.outcome =
   let rec scan i =
     if i >= t.n then begin
       (* loop exit branch *)
-      Machine.Model.branch machine ~pc:(Hashtbl.hash ("lin-exit", t.base_vaddr)) ~taken:false;
+      Machine.Model.branch machine ~pc:t.exit_pc ~taken:false;
       { Structure.matched = None; scanned = t.n }
     end
     else begin
@@ -102,9 +108,7 @@ let lookup t ~addr ~size : Structure.outcome =
       (* group branch: highly predictable (taken only in the matching
          group) *)
       if i land 7 = 0 || hit then
-        Machine.Model.branch machine
-          ~pc:(Hashtbl.hash ("lin", t.base_vaddr, i lsr 3))
-          ~taken:hit;
+        Machine.Model.branch machine ~pc:t.group_pc.(i lsr 3) ~taken:hit;
       if hit then { Structure.matched = Some r; scanned = i + 1 }
       else scan (i + 1)
     end

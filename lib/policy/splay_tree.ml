@@ -42,6 +42,9 @@ let write_node t (n : node) =
   Kernel.write t.kernel ~addr:(n.vaddr + 32) ~size:8
     (match n.right with Some r -> r.vaddr | None -> 0)
 
+(* branch-site id of each node slot, hashed once rather than per visit *)
+let splay_pcs = Array.init 256 (fun k -> Structure.branch_site ("splay", k))
+
 (** Top-down splay by key (region base); returns the new root. Also
     charges the pointer-chasing and restructuring costs. *)
 let splay t key (root : node option) : node option =
@@ -53,7 +56,7 @@ let splay t key (root : node option) : node option =
       touch_node t x;
       let machine = Kernel.machine t.kernel in
       Machine.Model.branch machine
-        ~pc:(Hashtbl.hash ("splay", x.vaddr land 0xff))
+        ~pc:splay_pcs.(x.vaddr land 0xff)
         ~taken:(key < x.region.Region.base);
       if key < x.region.Region.base then
         match x.left with

@@ -10,6 +10,13 @@
     §3.1/§4.2 discussion of structure trade-offs rather than asserting
     it. *)
 
+(** Stable id of a simulated branch site, the [~pc] of
+    {!Machine.Model.branch}: a hash of a tag and the site's coordinates.
+    Structures compute their ids once, when they are built, so a lookup
+    never hashes; kept out of line so the hot-path objects carry no hash
+    call at all. *)
+let[@inline never] branch_site key = Hashtbl.hash key
+
 type outcome = {
   matched : Region.t option;  (** first region containing the range *)
   scanned : int;  (** entries (or nodes/probes) examined *)

@@ -123,7 +123,7 @@ let rec subtract (lo, hi) covers =
     with
     | [] -> [ (lo, hi) ]
     | (clo, chi) :: _ ->
-      subtract (lo, min hi clo) covers @ subtract (max lo chi, hi) covers
+      subtract (lo, Int.min hi clo) covers @ subtract (Int.max lo chi, hi) covers
 
 let note_publish t ~old_regions ~new_regions =
   match t.race with
@@ -195,7 +195,7 @@ let quiesce t cpu =
   | [] -> ()
   | _ ->
     let min_gen =
-      Array.fold_left (fun a (c : Cpu.t) -> min a c.q_gen) max_int t.cpus
+      Array.fold_left (fun a (c : Cpu.t) -> Int.min a c.q_gen) max_int t.cpus
     in
     let keep, retire =
       List.partition (fun p -> p.p_gen > min_gen) t.pending
@@ -242,7 +242,7 @@ let publish_regions t rs ~default_allow =
       }
       :: t.pending;
     t.stats.publications <- t.stats.publications + 1;
-    t.stats.max_pending <- max t.stats.max_pending (List.length t.pending);
+    t.stats.max_pending <- Int.max t.stats.max_pending (List.length t.pending);
     shootdown t;
     0
 

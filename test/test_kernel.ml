@@ -5,6 +5,7 @@ open Carat_kop
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checkf = Alcotest.check (Alcotest.float 0.0)
 
 let fresh ?(require_signature = false) ?(require_certificate = false) () =
   Kernel.create ~require_signature ~require_certificate Machine.Presets.r350
@@ -18,14 +19,102 @@ let test_memory_rw () =
   checki "little endian low byte" 0x88 (Kernel.Memory.read_u8 m 0);
   checki "partial read" 0x7788 (Kernel.Memory.read m 0 ~size:2)
 
+(* The byte-at-a-time accessors the word-level [Memory.read]/[write]
+   replace, kept here as the reference they must agree with. *)
+let ref_write b addr ~size v =
+  for i = 0 to size - 1 do
+    Bytes.set b (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
+let ref_read b addr ~size =
+  let acc = ref 0 in
+  for i = 0 to size - 1 do
+    acc := !acc lor (Char.code (Bytes.get b (addr + i)) lsl (8 * i))
+  done;
+  !acc land max_int
+
+let mem_bytes = 64
+
+(* one write of [size] bytes at [off] over random initial contents; then
+   every byte and every read of every size at every offset must match the
+   reference, so reads at a size other than the write's agree too *)
+let prop_word_accessors =
+  let gen =
+    QCheck.Gen.(
+      let* size = int_range 1 8 in
+      let* off = int_range 0 (mem_bytes - size) in
+      let* v =
+        oneof
+          [ oneofl [ min_int; max_int; -1; 0 ]; int; map (fun x -> -x) nat ]
+      in
+      let* init = string_size ~gen:char (return mem_bytes) in
+      return (size, off, v, init))
+  in
+  QCheck.Test.make ~name:"word accessors = byte loop" ~count:500
+    (QCheck.make
+       ~print:(fun (size, off, v, _) ->
+         Printf.sprintf "size %d at %d value %d" size off v)
+       gen)
+    (fun (size, off, v, init) ->
+      let m = Kernel.Memory.create ~size:mem_bytes in
+      Kernel.Memory.blit_string m ~dst:0 init;
+      let r = Bytes.of_string init in
+      Kernel.Memory.write m off ~size v;
+      ref_write r off ~size v;
+      Bytes.equal (Kernel.Memory.snapshot m) r
+      && List.for_all
+           (fun rsize ->
+             List.for_all
+               (fun roff ->
+                 Kernel.Memory.read m roff ~size:rsize
+                 = ref_read r roff ~size:rsize)
+               (List.init (mem_bytes - rsize + 1) Fun.id))
+           [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
+(* every access size: the last in-bounds offset works; one byte further,
+   at the end and below zero, the access is refused with its own
+   address and size *)
 let test_memory_bounds () =
-  let m = Kernel.Memory.create ~size:64 in
-  (match Kernel.Memory.read m 60 ~size:8 with
-  | exception Kernel.Memory.Bad_phys_access _ -> ()
-  | _ -> Alcotest.fail "oob read");
-  match Kernel.Memory.write m (-1) ~size:1 0 with
-  | exception Kernel.Memory.Bad_phys_access _ -> ()
-  | _ -> Alcotest.fail "negative write"
+  let m = Kernel.Memory.create ~size:mem_bytes in
+  let refused what f addr size =
+    match f () with
+    | exception Kernel.Memory.Bad_phys_access e ->
+      checki (what ^ " addr") addr e.addr;
+      checki (what ^ " size") size e.size
+    | _ -> Alcotest.failf "%s of %d bytes at %d accepted" what size addr
+  in
+  for size = 1 to 8 do
+    let last = mem_bytes - size in
+    ignore (Kernel.Memory.read m last ~size);
+    Kernel.Memory.write m last ~size (-1);
+    List.iter
+      (fun addr ->
+        refused "read" (fun () -> Kernel.Memory.read m addr ~size) addr size;
+        refused "write"
+          (fun () -> Kernel.Memory.write m addr ~size 0)
+          addr size)
+      [ last + 1; mem_bytes; -1 ]
+  done
+
+(* after warm-up, a direct-map access through the kernel must not touch
+   the minor heap: no translation result, no boxed word *)
+let test_direct_map_allocation_free () =
+  let k = fresh () in
+  let va = Kernel.kmalloc k ~size:64 in
+  for i = 0 to 99 do
+    Kernel.write k ~addr:(va + (i land 7)) ~size:8 i;
+    ignore (Kernel.read k ~addr:(va + (i land 7)) ~size:8)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    ignore (Kernel.read k ~addr:(va + (i land 31)) ~size:(1 lsl (i land 3)))
+  done;
+  checkf "Kernel.read minor words" 0.0 (Gc.minor_words () -. w0);
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Kernel.write k ~addr:(va + (i land 31)) ~size:(1 lsl (i land 3)) (i - 50_000)
+  done;
+  checkf "Kernel.write minor words" 0.0 (Gc.minor_words () -. w0)
 
 let test_memory_blit () =
   let m = Kernel.Memory.create ~size:128 in
@@ -540,12 +629,15 @@ let () =
           Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "blit" `Quick test_memory_blit;
+          QCheck_alcotest.to_alcotest prop_word_accessors;
         ] );
       ( "layout",
         [ Alcotest.test_case "predicates" `Quick test_layout_predicates ] );
       ( "address-space",
         [
           Alcotest.test_case "direct map" `Quick test_direct_map_access;
+          Alcotest.test_case "direct map allocation-free" `Quick
+            test_direct_map_allocation_free;
           Alcotest.test_case "kernel image" `Quick test_kernel_image_access;
           Alcotest.test_case "fault unmapped" `Quick test_fault_on_unmapped;
           Alcotest.test_case "user mapping" `Quick test_user_mapping;

@@ -173,6 +173,26 @@ let test_model_store_cheaper_than_miss_load () =
   let store_cost = Machine.Model.cycles m2 in
   checkb "store buffered" true (store_cost < load_cost)
 
+(* loads, stores and branches sit under every guard probe: after
+   warm-up, 100k of each must not allocate a single minor word *)
+let test_model_allocation_free () =
+  let m = mk_model () in
+  let addr i = 0x10000 + ((i land 1023) * 24) in
+  let measure name f =
+    for i = 0 to 999 do
+      f i
+    done;
+    let w0 = Gc.minor_words () in
+    for i = 0 to 99_999 do
+      f i
+    done;
+    Alcotest.check (Alcotest.float 0.0) name 0.0 (Gc.minor_words () -. w0)
+  in
+  measure "load minor words" (fun i -> Machine.Model.load m (addr i) 8);
+  measure "store minor words" (fun i -> Machine.Model.store m (addr i) 8);
+  measure "branch minor words" (fun i ->
+      Machine.Model.branch m ~pc:(i land 63) ~taken:(i land 5 = 0))
+
 let test_model_branch_costs () =
   let m = mk_model () in
   (* train past the 16-bit history saturation point *)
@@ -303,6 +323,8 @@ let () =
           Alcotest.test_case "overlap" `Quick test_model_overlap;
           Alcotest.test_case "seconds" `Quick test_model_seconds;
           Alcotest.test_case "snapshot delta" `Quick test_model_snapshot_delta;
+          Alcotest.test_case "allocation-free probes" `Quick
+            test_model_allocation_free;
         ] );
       ( "presets",
         [
