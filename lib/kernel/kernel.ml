@@ -203,27 +203,30 @@ let check_alive t = if t.panicked <> None then panic t "action on dead kernel"
 
 let kernel_image_phys_size = Layout.kernel_text_size + Layout.kernel_data_size
 
+(* [addr, addr + size) lies in [base, base + len). No sum can wrap:
+   [addr + size] would for an address near [max_int]. *)
+let within ~base ~len addr size =
+  addr >= base && addr <= base + len && size <= base + len - addr
+
 (* [translate]'s first arm, on its own so that {!read} and {!write} can
    take it without building a [`Phys] block per access *)
 let in_direct_map t addr size =
-  addr >= Layout.direct_map_base
-  && addr + size <= Layout.direct_map_base + t.phys_size
+  within ~base:Layout.direct_map_base ~len:t.phys_size addr size
 
 let translate t addr size :
     [ `Phys of int | `Mmio of mmio_region * int | `Fault ] =
   if in_direct_map t addr size then `Phys (addr - Layout.direct_map_base)
   else if
-    addr >= Layout.kernel_text_base
-    && addr + size <= Layout.kernel_data_base + Layout.kernel_data_size
+    within ~base:Layout.kernel_text_base ~len:kernel_image_phys_size addr size
   then `Phys (addr - Layout.kernel_text_base)
   else begin
     let lm = t.last_mapping in
-    if addr >= lm.map_virt && addr + size <= lm.map_virt + lm.map_size then
+    if within ~base:lm.map_virt ~len:lm.map_size addr size then
       `Phys (lm.map_phys + (addr - lm.map_virt))
     else
     match
       List.find_opt
-        (fun m -> addr >= m.map_virt && addr + size <= m.map_virt + m.map_size)
+        (fun m -> within ~base:m.map_virt ~len:m.map_size addr size)
         t.mappings
     with
     | Some m ->
@@ -232,8 +235,7 @@ let translate t addr size :
     | None -> (
       match
         List.find_opt
-          (fun r ->
-            addr >= r.mmio_virt && addr + size <= r.mmio_virt + r.mmio_size)
+          (fun r -> within ~base:r.mmio_virt ~len:r.mmio_size addr size)
           t.mmio
       with
       | Some r -> `Mmio (r, addr - r.mmio_virt)

@@ -33,16 +33,38 @@ let ref_read b addr ~size =
   done;
   !acc land max_int
 
-let mem_bytes = 64
+let page = Kernel.Memory.page_size
 
-(* one write of [size] bytes at [off] over random initial contents; then
-   every byte and every read of every size at every offset must match the
-   reference, so reads at a size other than the write's agree too *)
+(* three pages, so accesses can straddle either page boundary *)
+let mem_bytes = 3 * page
+
+(* reads of every size at every offset within 16 bytes of each point *)
+let offsets_near points ~size =
+  List.sort_uniq Int.compare
+    (List.concat_map
+       (fun p ->
+         List.filter
+           (fun o -> o >= 0 && o <= mem_bytes - size)
+           (List.init 33 (fun d -> p - 16 + d)))
+       points)
+
+(* one write of [size] bytes at [off] over random initial contents,
+   mostly astride a page boundary; then every byte, and every read of
+   every size at every offset near the write and near both boundaries,
+   must match the reference, so reads at a size other than the write's
+   agree too *)
 let prop_word_accessors =
   let gen =
     QCheck.Gen.(
       let* size = int_range 1 8 in
-      let* off = int_range 0 (mem_bytes - size) in
+      let* off =
+        oneof
+          [
+            int_range (page - 8) (page + 8);
+            int_range ((2 * page) - 8) ((2 * page) + 8);
+            int_range 0 (mem_bytes - size);
+          ]
+      in
       let* v =
         oneof
           [ oneofl [ min_int; max_int; -1; 0 ]; int; map (fun x -> -x) nat ]
@@ -61,19 +83,21 @@ let prop_word_accessors =
       let r = Bytes.of_string init in
       Kernel.Memory.write m off ~size v;
       ref_write r off ~size v;
-      Bytes.equal (Kernel.Memory.snapshot m) r
+      String.equal
+        (Kernel.Memory.read_string m ~src:0 ~len:mem_bytes)
+        (Bytes.to_string r)
       && List.for_all
            (fun rsize ->
              List.for_all
                (fun roff ->
                  Kernel.Memory.read m roff ~size:rsize
                  = ref_read r roff ~size:rsize)
-               (List.init (mem_bytes - rsize + 1) Fun.id))
+               (offsets_near [ off; page; 2 * page ] ~size:rsize))
            [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 
 (* every access size: the last in-bounds offset works; one byte further,
-   at the end and below zero, the access is refused with its own
-   address and size *)
+   at the end, below zero and where [addr + size] wraps past [max_int],
+   the access is refused with its own address and size *)
 let test_memory_bounds () =
   let m = Kernel.Memory.create ~size:mem_bytes in
   let refused what f addr size =
@@ -93,7 +117,7 @@ let test_memory_bounds () =
         refused "write"
           (fun () -> Kernel.Memory.write m addr ~size 0)
           addr size)
-      [ last + 1; mem_bytes; -1 ]
+      [ last + 1; mem_bytes; -1; max_int - 3; max_int; min_int ]
   done
 
 (* after warm-up, a direct-map access through the kernel must not touch
@@ -114,7 +138,51 @@ let test_direct_map_allocation_free () =
   for i = 0 to 99_999 do
     Kernel.write k ~addr:(va + (i land 31)) ~size:(1 lsl (i land 3)) (i - 50_000)
   done;
-  checkf "Kernel.write minor words" 0.0 (Gc.minor_words () -. w0)
+  checkf "Kernel.write minor words" 0.0 (Gc.minor_words () -. w0);
+  (* never-written memory reads as zeroes from the shared zero page *)
+  let fresh_va = Kernel.kmalloc k ~size:65536 in
+  let nonzero = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    nonzero :=
+      !nonzero
+      lor Kernel.read k ~addr:(fresh_va + ((i * 8) land 0xfff8))
+            ~size:(1 lsl (i land 3))
+  done;
+  checkf "never-written read minor words" 0.0 (Gc.minor_words () -. w0);
+  checki "never-written memory reads 0" 0 !nonzero;
+  (* the piecewise copies behind memcpy/memset/write_string, across a
+     page boundary, allocate nothing either *)
+  let m = Kernel.memory k in
+  let src = Kernel.Layout.phys_of_direct_map fresh_va + page - 700 in
+  let frame = String.make 1500 'f' in
+  let copies () =
+    Kernel.Memory.blit_string m ~dst:src frame;
+    Kernel.Memory.blit m ~src ~dst:(src + 3000) ~len:1500;
+    Kernel.Memory.blit m ~src:(src + 3000) ~dst:(src + 10) ~len:1500;
+    Kernel.Memory.fill m ~dst:src ~len:1500 'z'
+  in
+  copies ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    copies ()
+  done;
+  checkf "blit/fill minor words" 0.0 (Gc.minor_words () -. w0)
+
+(* 64 MiB of DRAM is a page table until it is written: beyond its
+   machine model (cache tag arrays, ~4.7 MB for the R350), creating a
+   kernel allocates under 1 MiB *)
+let test_create_allocates_no_dram () =
+  let allocated f =
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. b0
+  in
+  ignore (fresh ());
+  let model = allocated (fun () -> Machine.Model.create Machine.Presets.r350) in
+  let kernel = allocated fresh -. model in
+  if kernel >= 1024. *. 1024. then
+    Alcotest.failf "Kernel.create allocated %.0f bytes beyond its model" kernel
 
 let test_memory_blit () =
   let m = Kernel.Memory.create ~size:128 in
@@ -155,11 +223,25 @@ let test_kernel_image_access () =
   Kernel.write k ~addr:va ~size:4 0x42;
   checki "image data" 0x42 (Kernel.read k ~addr:va ~size:4)
 
+(* unmapped addresses fault on every access path, including an access
+   whose end wraps past [max_int] and one just past the end of DRAM *)
 let test_fault_on_unmapped () =
   let k = fresh () in
-  match Kernel.read k ~addr:0x0DEA_D000_0000_0000 ~size:8 with
-  | exception Kernel.Fault _ -> ()
-  | _ -> Alcotest.fail "unmapped read succeeded"
+  let dram_end = Kernel.Layout.direct_map_base + (64 * 1024 * 1024) in
+  let faults what f addr =
+    match f addr with
+    | exception Kernel.Fault e -> checki (what ^ " fault addr") addr e.addr
+    | _ -> Alcotest.failf "%s of 8 bytes at 0x%x accepted" what addr
+  in
+  List.iter
+    (fun addr ->
+      faults "read" (fun addr -> Kernel.read k ~addr ~size:8) addr;
+      faults "write" (fun addr -> Kernel.write k ~addr ~size:8 0) addr;
+      faults "dma_read" (fun addr -> Kernel.dma_read k ~addr ~size:8) addr;
+      faults "dma_write" (fun addr -> Kernel.dma_write k ~addr ~size:8 0) addr)
+    [ 0x0DEA_D000_0000_0000; max_int - 3; max_int; dram_end; dram_end - 4 ];
+  Kernel.write k ~addr:(dram_end - 8) ~size:8 7;
+  checki "last word of DRAM" 7 (Kernel.read k ~addr:(dram_end - 8) ~size:8)
 
 let test_user_mapping () =
   let k = fresh () in
@@ -534,17 +616,144 @@ let test_quarantine_basics () =
 (* ---------- snapshot / diff ---------- *)
 
 let test_memory_diff () =
-  let m = Kernel.Memory.create ~size:256 in
+  let m = Kernel.Memory.create ~size:mem_bytes in
+  let expect what want snap =
+    let got = Kernel.Memory.diff_ranges m snap in
+    let show d =
+      String.concat ";"
+        (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) d)
+    in
+    if got <> want then
+      Alcotest.failf "%s: diff %s, expected %s" what (show got) (show want)
+  in
   let snap = Kernel.Memory.snapshot m in
-  checkb "no diff when untouched" true (Kernel.Memory.diff_ranges m snap = []);
+  expect "untouched" [] snap;
   Kernel.Memory.write m 10 ~size:2 0xFFFF;
   Kernel.Memory.write_u8 m 100 1;
-  match Kernel.Memory.diff_ranges m snap with
-  | [ (10, 2); (100, 1) ] -> ()
-  | d ->
-    Alcotest.failf "unexpected diff: %s"
-      (String.concat ";"
-         (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) d))
+  expect "two writes" [ (10, 2); (100, 1) ] snap;
+  (* a write across a page boundary is one range *)
+  let across = Kernel.Memory.snapshot m in
+  Kernel.Memory.write m (page - 4) ~size:8 0x0102030405060708;
+  expect "across a page" [ (page - 4, 8) ] across;
+  (* a newer snapshot and writes after it leave the older ones intact *)
+  let newer = Kernel.Memory.snapshot m in
+  Kernel.Memory.write_u8 m 200 1;
+  expect "newer" [ (200, 1) ] newer;
+  expect "middle" [ (200, 1); (page - 4, 8) ] across;
+  expect "oldest" [ (10, 2); (100, 1); (200, 1); (page - 4, 8) ] snap
+
+(* A random stream of writes, fills, string and memory blits (overlapping
+   both ways, across pages) and snapshots against a flat [Bytes]
+   reference: after every step memory reads back as the reference, and
+   every snapshot diffs as the reference does against its copy. The size
+   leaves a partial last page. *)
+type mem_op =
+  | Write of int * int * int  (** addr, size, value *)
+  | Fill of int * int * char  (** dst, len *)
+  | Blit_string of int * string  (** dst *)
+  | Blit of int * int * int  (** src, dst, len *)
+  | Snapshot of int option  (** len *)
+
+let cow_bytes = (3 * page) + 100
+
+let show_op = function
+  | Write (a, n, v) -> Printf.sprintf "write %d/%d %d" a n v
+  | Fill (d, n, c) -> Printf.sprintf "fill %d/%d %C" d n c
+  | Blit_string (d, s) -> Printf.sprintf "blit_string %d/%d" d (String.length s)
+  | Blit (s, d, n) -> Printf.sprintf "blit %d->%d/%d" s d n
+  | Snapshot l ->
+    "snapshot" ^ Option.fold ~none:"" ~some:(Printf.sprintf " %d") l
+
+let gen_mem_op =
+  QCheck.Gen.(
+    (* mostly within a dozen bytes of a page boundary *)
+    let near_page =
+      oneof
+        [
+          int_range 0 (cow_bytes - 1);
+          map2 (fun p d -> (p * page) + d) (int_range 1 3) (int_range (-12) 12);
+        ]
+    in
+    let len_from addr =
+      map
+        (Int.min (cow_bytes - addr))
+        (oneof [ int_range 0 16; int_range 0 5000 ])
+    in
+    oneof
+      [
+        (let* size = int_range 1 8 in
+         let* a = near_page in
+         let* v = int in
+         return (Write (Int.min a (cow_bytes - size), size, v)));
+        (let* d = near_page in
+         let* n = len_from d in
+         let* c = char in
+         return (Fill (d, n, c)));
+        (let* d = near_page in
+         let* n = len_from d in
+         let* s = string_size ~gen:char (return n) in
+         return (Blit_string (d, s)));
+        (let* s = near_page in
+         let* n = len_from s in
+         let* d =
+           oneof [ near_page; map (fun k -> s + k) (int_range (-n) n) ]
+         in
+         let d = Int.max 0 (Int.min d (cow_bytes - n)) in
+         return (Blit (s, d, n)));
+        map (fun l -> Snapshot l)
+          (opt (int_range 0 (cow_bytes + 100)));
+      ])
+
+(* the byte diff [Memory.diff_ranges] must report *)
+let ref_diff cur old =
+  let ranges = ref [] and start = ref (-1) in
+  for i = 0 to Bytes.length old do
+    if i < Bytes.length old && Bytes.get cur i <> Bytes.get old i then begin
+      if !start < 0 then start := i
+    end
+    else if !start >= 0 then begin
+      ranges := (!start, i - !start) :: !ranges;
+      start := -1
+    end
+  done;
+  List.rev !ranges
+
+let prop_copy_on_write =
+  QCheck.Test.make ~name:"paged memory = flat reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_mem_op))
+    (fun ops ->
+      let m = Kernel.Memory.create ~size:cow_bytes in
+      let r = Bytes.make cow_bytes '\000' in
+      let snaps = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Write (a, size, v) ->
+            Kernel.Memory.write m a ~size v;
+            ref_write r a ~size v
+          | Fill (d, n, c) ->
+            Kernel.Memory.fill m ~dst:d ~len:n c;
+            Bytes.fill r d n c
+          | Blit_string (d, s) ->
+            Kernel.Memory.blit_string m ~dst:d s;
+            Bytes.blit_string s 0 r d (String.length s)
+          | Blit (src, dst, len) ->
+            Kernel.Memory.blit m ~src ~dst ~len;
+            Bytes.blit r src r dst len
+          | Snapshot len ->
+            let n = Option.fold ~none:cow_bytes ~some:(Int.min cow_bytes) len in
+            let snap = Kernel.Memory.snapshot ?len m in
+            snaps := (snap, Bytes.sub r 0 n) :: !snaps);
+          String.equal
+            (Kernel.Memory.read_string m ~src:0 ~len:cow_bytes)
+            (Bytes.to_string r)
+          && List.for_all
+               (fun (snap, copy) ->
+                 Kernel.Memory.diff_ranges m snap = ref_diff r copy)
+               !snaps)
+        ops)
 
 (* ---------- watchdog ---------- *)
 
@@ -630,6 +839,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "blit" `Quick test_memory_blit;
           QCheck_alcotest.to_alcotest prop_word_accessors;
+          QCheck_alcotest.to_alcotest prop_copy_on_write;
+          Alcotest.test_case "create allocates no DRAM" `Quick
+            test_create_allocates_no_dram;
         ] );
       ( "layout",
         [ Alcotest.test_case "predicates" `Quick test_layout_predicates ] );
