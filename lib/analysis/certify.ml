@@ -71,53 +71,30 @@ type summary = {
 let bool_meta m key ~default =
   match meta_find m key with Some v -> v = "true" | None -> default
 
-let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
-    ~exempt_stack ~guard_reads ~guard_writes (f : func) : func_summary =
-  let cfg = Kir.Cfg.of_func f in
-  let n = Kir.Cfg.n_blocks cfg in
-  let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
+(** The census of one function from its guard-coverage solution [sv],
+    solved under [ctx]. Raises {!Dataflow.Diverged} if that solve
+    diverged. *)
+let analyze_func ~(ctx : GC.ctx) ~exempt_stack ~guard_reads ~guard_writes
+    (sv : Summaries.solved) : func_summary =
+  let guard_symbol = ctx.GC.guard_symbol in
+  let f = sv.Summaries.sv_func
+  and cfg = sv.Summaries.cfg
+  and bodies = sv.Summaries.bodies
+  and iid_base = sv.Summaries.iid_base in
   (* induction-variable ranges: lets one widened pre-header guard prove
      every iteration of a counted loop (see {!Range}) *)
   let ranges = Range.analyze_func cfg (Passes.Loops.compute cfg) in
-  (* function-wide instruction ids, in block-array order *)
-  let iid_base = Array.make (max n 1) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun i body ->
-      iid_base.(i) <- !total;
-      total := !total + Array.length body)
-    bodies;
-  let instr_at = Array.make (max !total 1) (Inline_asm "") in
+  let total = Array.fold_left (fun n body -> n + Array.length body) 0 bodies in
+  let instr_at = Array.make (max total 1) (Inline_asm "") in
   Array.iteri
     (fun i body ->
       Array.iteri (fun k ins -> instr_at.(iid_base.(i) + k) <- ins) body)
     bodies;
-  let ctx =
-    {
-      GC.guard_symbol;
-      neutral =
-        (fun s ->
-          s = Passes.Cfi_guard.guard_symbol
-          || s = Passes.Intrinsic_guard.guard_symbol);
-      call_effect;
-    }
+  let sol =
+    match sv.Summaries.sol with
+    | Ok sol -> sol
+    | Error why -> raise (Dataflow.Diverged why)
   in
-  let block_transfer ~block t =
-    snd
-      (Array.fold_left
-         (fun (iid, t) ins -> (iid + 1, GC.transfer_instr ctx ~iid t ins))
-         (iid_base.(block), t)
-         bodies.(block))
-  in
-  let domain =
-    {
-      Dataflow.entry = GC.entry_of_params f.params;
-      equal = GC.equal;
-      join = GC.join;
-      transfer = block_transfer;
-    }
-  in
-  let sol = Dataflow.solve domain cfg in
   let is_alloca_core = function
     | GC.S_def k when k >= 0 && k < Array.length instr_at -> (
       match instr_at.(k) with Alloca _ -> true | _ -> false)
@@ -222,10 +199,22 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
 let interprocedural m =
   meta_find m Passes.Guard_injection.meta_opt_level = Some "aggressive"
 
+(** Per-function results carried across the analyses of one module
+    while the optimizer rewrites it (see {!Summaries.memo}): a census
+    stands while the summaries report the same solve it was taken from,
+    under the same injection configuration. *)
+type memo = {
+  solves : Summaries.memo;
+  census : (string, int * (bool * bool * bool) * func_summary) Hashtbl.t;
+}
+
+let memo () = { solves = Summaries.memo (); census = Hashtbl.create 32 }
+
 (** Analyze every function of [m] under its recorded injection
-    configuration. Raises {!Dataflow.Diverged} only for a broken domain
-    — callers treat that as a refusal, never as success. *)
-let analyze ?guard_symbol (m : modul) : summary =
+    configuration, from scratch unless [memo] is given. Raises
+    {!Dataflow.Diverged} only for a broken domain — callers treat that
+    as a refusal, never as success. *)
+let analyze ?memo ?guard_symbol (m : modul) : summary =
   let guard_symbol =
     match guard_symbol with
     | Some s -> s
@@ -243,22 +232,51 @@ let analyze ?guard_symbol (m : modul) : summary =
   let guard_writes =
     bool_meta m Passes.Guard_injection.meta_guard_writes ~default:true
   in
-  let call_effect =
+  (* interprocedurally, the summaries' fixpoint has already solved
+     every function under the final summaries: read those solutions
+     rather than solving again *)
+  let ctx, kept, solve_id =
     if interprocedural m then
-      let s = Summaries.compute ~guard_symbol m in
-      Summaries.effect_of s
-    else fun _ -> Guard_cover.opaque_effect
+      let s =
+        Summaries.compute
+          ?memo:(Option.map (fun mm -> mm.solves) memo)
+          ~guard_symbol m
+      in
+      (Summaries.ctx s, Summaries.solution s, Summaries.solve_id s)
+    else
+      ( {
+          GC.guard_symbol;
+          neutral = Summaries.default_neutral;
+          call_effect = (fun _ -> GC.opaque_effect);
+        },
+        (fun _ -> None),
+        fun _ -> None )
+  in
+  let config = (exempt_stack, guard_reads, guard_writes) in
+  let census (f : func) =
+    let count () =
+      let sv =
+        match kept f with Some sv -> sv | None -> Summaries.solve_func ~ctx f
+      in
+      (sv.Summaries.sv_id,
+       analyze_func ~ctx ~exempt_stack ~guard_reads ~guard_writes sv)
+    in
+    match memo with
+    | None -> snd (count ())
+    | Some mm -> (
+      match (solve_id f, Hashtbl.find_opt mm.census f.f_name) with
+      | Some id, Some (id', c, fs) when id = id' && c = config -> fs
+      | _ ->
+        let id, fs = count () in
+        Hashtbl.replace mm.census f.f_name (id, config, fs);
+        fs)
   in
   {
     s_guard_symbol = guard_symbol;
     s_exempt_stack = exempt_stack;
     s_guard_reads = guard_reads;
     s_guard_writes = guard_writes;
-    s_funcs =
-      List.map
-        (analyze_func ~call_effect ~guard_symbol ~exempt_stack ~guard_reads
-           ~guard_writes)
-        m.funcs;
+    s_funcs = List.map census m.funcs;
   }
 
 (* -- certificate --------------------------------------------------- *)
@@ -302,8 +320,8 @@ let render ?domain ~digest (s : summary) =
 (** Prove guard completeness with [domain] taken verbatim ([None] = an
     undomained, pre-multi-tenant certificate — the wire format is
     unchanged when no domain is named). *)
-let certify_as ~domain (m : modul) : (string * summary, string) result =
-  match analyze m with
+let certify_as ?memo ~domain (m : modul) : (string * summary, string) result =
+  match analyze ?memo m with
   | exception Dataflow.Diverged why -> Error ("analysis diverged: " ^ why)
   | s -> (
     let uncov = List.concat_map (fun fs -> fs.fs_uncovered) s.s_funcs in
@@ -321,11 +339,11 @@ let certify_as ~domain (m : modul) : (string * summary, string) result =
 (** Prove guard completeness; [Ok (certificate, summary)] or a human-
     readable refusal naming the first unguarded access. The certificate
     names [domain] when given (or the module's {!meta_domain} stamp). *)
-let certify ?domain (m : modul) : (string * summary, string) result =
+let certify ?memo ?domain (m : modul) : (string * summary, string) result =
   let domain =
     match domain with Some _ -> domain | None -> meta_find m meta_domain
   in
-  certify_as ~domain m
+  certify_as ?memo ~domain m
 
 let certificate ?domain m = Result.map fst (certify ?domain m)
 
@@ -392,10 +410,61 @@ let validate ?expect_domain (m : modul) : (unit, validate_error) result =
         | Ok fresh ->
           if String.equal fresh stored then Ok () else Error Cert_mismatch)))
 
+(* -- one proof per compile ------------------------------------------ *)
+
+(* everything of the module's metadata that {!certify} reads: with the
+   body digest, it determines the certificate and its summary *)
+let analysis_key m =
+  List.map (meta_find m)
+    [
+      meta_domain;
+      Passes.Guard_injection.meta_guard_symbol;
+      Passes.Guard_injection.meta_exempt_stack;
+      Passes.Guard_injection.meta_guard_reads;
+      Passes.Guard_injection.meta_guard_writes;
+      Passes.Guard_injection.meta_opt_level;
+    ]
+
+type offered = {
+  o_module : modul;
+  o_digest : string;
+  o_key : string option list;
+  o_proof : string * summary;
+}
+
+(* one slot, read once: the certify pass empties it, so the module is
+   not kept alive past the compile that offered it *)
+let slot : offered option ref = ref None
+
+(** Hand the certify pass of this compile a proof [certify m] has just
+    returned for [m]. The certified optimizer offers its final proof so
+    the pipeline does not prove the same module twice. *)
+let offer m ((cert, _) as proof) =
+  slot :=
+    Option.map
+      (fun d ->
+        { o_module = m; o_digest = d; o_key = analysis_key m; o_proof = proof })
+      (stored_digest cert)
+
+(* empty the slot; its proof if it was offered for this very module and
+   neither the body nor the metadata the proof depends on has changed
+   since. Only the certify pass reads it: {!certify}, {!certify_as} and
+   {!validate} always prove from scratch *)
+let take m =
+  let o = !slot in
+  slot := None;
+  match o with
+  | Some o
+    when o.o_module == m
+         && o.o_key = analysis_key m
+         && String.equal o.o_digest (body_digest m) ->
+    Some o.o_proof
+  | _ -> None
+
 (* -- pass ---------------------------------------------------------- *)
 
 let run (m : modul) : Passes.Pass.result =
-  match certify m with
+  match match take m with Some p -> Ok p | None -> certify m with
   | Error reason -> Passes.Pass.fail "certify" "%s" reason
   | Ok (cert, s) ->
     meta_set m Passes.Attest.meta_cert cert;

@@ -36,7 +36,13 @@
     {!Certify.certify}. If certification fails, the module is restored
     to its pre-pass state instruction for instruction and the pass
     reports the refusal — an optimizer bug can produce a slow module,
-    never an unguarded one. *)
+    never an unguarded one. If it succeeds, the proof is offered to the
+    pipeline's certify pass ({!Certify.offer}), which reuses it when
+    nothing the proof depends on changed in between.
+
+    The analyses of one run share a {!Certify.memo}: each one re-solves
+    only the functions the steps before it rewrote, and the callers
+    whose callee summaries moved. *)
 
 open Kir.Types
 module GC = Guard_cover
@@ -79,8 +85,8 @@ let restore (snap : snapshot) (m : modul) : unit =
     surviving guards (or calls); and accesses the deleted guards
     covered remain covered by the subsuming facts the certifier's
     re-analysis rediscovers. *)
-let eliminate (m : modul) : int =
-  let s = Certify.analyze m in
+let eliminate ?memo (m : modul) : int =
+  let s = Certify.analyze ?memo m in
   let deleted = ref 0 in
   List.iter2
     (fun (f : func) (fs : Certify.func_summary) ->
@@ -120,7 +126,7 @@ let eliminate (m : modul) : int =
     once the certifier's range analysis proves them redundant, so a
     widening the certifier cannot re-prove costs one extra static
     guard but never loses coverage. *)
-let widen ~guard_symbol ~(summaries : Summaries.t) (m : modul) : int =
+let widen ~guard_symbol ~(pure : string -> bool) (m : modul) : int =
   let neutral = Summaries.default_neutral in
   let widened = ref 0 in
   let process_func (f : func) =
@@ -179,7 +185,7 @@ let widen ~guard_symbol ~(summaries : Summaries.t) (m : modul) : int =
                     (function
                       | Call { callee; _ } ->
                         callee = guard_symbol || neutral callee
-                        || Summaries.is_pure summaries callee
+                        || pure callee
                       | Callind _ | Inline_asm _ -> false
                       | _ -> true)
                     b.body)
@@ -309,12 +315,13 @@ let run (m : modul) : Passes.Pass.result =
      every later re-validation of this module *)
   meta_set m Passes.Guard_injection.meta_opt_level
     (Passes.Pipeline.opt_level_to_string Passes.Pipeline.O_aggressive);
+  let memo = Certify.memo () in
   match
-    let interproc = eliminate m in
+    let interproc = eliminate ~memo m in
     let merged = coalesce ~guard_symbol m in
-    let summaries = Summaries.compute ~guard_symbol m in
-    let widened = widen ~guard_symbol ~summaries m in
-    let narrowed = if widened > 0 then eliminate m else 0 in
+    let pure = Summaries.purity ~guard_symbol m in
+    let widened = widen ~guard_symbol ~pure m in
+    let narrowed = if widened > 0 then eliminate ~memo m else 0 in
     let merged' = if widened + narrowed > 0 then coalesce ~guard_symbol m else 0 in
     (interproc + narrowed, merged + merged', widened)
   with
@@ -325,12 +332,13 @@ let run (m : modul) : Passes.Pass.result =
       remarks = [ ("restored", "analysis diverged: " ^ why) ];
     }
   | eliminated, merged, widened -> (
-    match Certify.certify m with
+    match Certify.certify ~memo m with
     | Error reason ->
       (* refuse the transform, not the module *)
       restore snap m;
       { Passes.Pass.changed = false; remarks = [ ("restored", reason) ] }
-    | Ok _ ->
+    | Ok proof ->
+      Certify.offer m proof;
       {
         Passes.Pass.changed = eliminated + merged + widened > 0;
         remarks =

@@ -553,6 +553,403 @@ let test_certify_domain_forgery () =
   | Error _ -> () (* any rejection is acceptable *)
   | Ok () -> Alcotest.fail "forged domain token accepted by pinned verifier"
 
+(* ---------- summary fixpoint: differential against round-robin ---------- *)
+
+module GC = Analysis.Guard_cover
+module Sm = Analysis.Summaries
+
+(* The round-robin summary fixpoint the callee-first worklist replaced,
+   kept verbatim as the reference: every function re-solved every
+   round until a round changes nothing, capped at [n + 2] rounds. *)
+module Round_robin = struct
+  let rec exportable = function
+    | GC.S_imm _ | GC.S_sym _ | GC.S_param _ -> true
+    | GC.S_gep (b, i, _) -> exportable b && exportable i
+    | GC.S_undef _ | GC.S_def _ | GC.S_merge _ -> false
+
+  let ret_facts ~ctx (f : func) : (GC.sv * int * int * int) list =
+    let cfg = Kir.Cfg.of_func f in
+    let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
+    let n = Kir.Cfg.n_blocks cfg in
+    let iid_base = Array.make (max n 1) 0 in
+    let total = ref 0 in
+    Array.iteri
+      (fun i body ->
+        iid_base.(i) <- !total;
+        total := !total + Array.length body)
+      bodies;
+    let block_transfer ~block t =
+      snd
+        (Array.fold_left
+           (fun (iid, t) ins -> (iid + 1, GC.transfer_instr ctx ~iid t ins))
+           (iid_base.(block), t)
+           bodies.(block))
+    in
+    let domain =
+      {
+        Analysis.Dataflow.entry = GC.entry_of_params f.params;
+        equal = GC.equal;
+        join = GC.join;
+        transfer = block_transfer;
+      }
+    in
+    match Analysis.Dataflow.solve domain cfg with
+    | exception Analysis.Dataflow.Diverged _ -> []
+    | sol ->
+      let rets = ref [] in
+      Array.iteri
+        (fun i out ->
+          match ((Kir.Cfg.block cfg i).term, out) with
+          | Ret _, Some t -> rets := t :: !rets
+          | _ -> ())
+        sol.Analysis.Dataflow.block_out;
+      (match !rets with
+      | [] -> []
+      | t0 :: rest ->
+        let facts =
+          List.fold_left
+            (fun acc (t : GC.t) -> GC.inter_facts acc t.GC.facts)
+            t0.GC.facts rest
+        in
+        GC.SvMap.fold
+          (fun core fs acc ->
+            if exportable core then
+              List.fold_left
+                (fun acc (f : GC.fact) ->
+                  (core, f.GC.lo, f.GC.hi, f.GC.flags) :: acc)
+                acc fs
+            else acc)
+          facts []
+        |> List.sort compare)
+
+  let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
+      ?(neutral = Sm.default_neutral) (m : modul) :
+      (string, Sm.fsum) Hashtbl.t =
+    let pure = Sm.compute_purity ~guard_symbol ~neutral m in
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun f ->
+        Hashtbl.replace tbl f.f_name
+          {
+            Sm.sm_pure = (try Hashtbl.find pure f.f_name with Not_found -> false);
+            sm_guarantees = [];
+            sm_params = List.map fst f.params;
+          })
+      m.funcs;
+    let effect_of callee =
+      match Hashtbl.find_opt tbl callee with
+      | None -> GC.opaque_effect
+      | Some s ->
+        {
+          GC.ce_kills = not s.Sm.sm_pure;
+          ce_adds = s.Sm.sm_guarantees;
+          ce_params = s.Sm.sm_params;
+        }
+    in
+    let ctx = { GC.guard_symbol; neutral; call_effect = effect_of } in
+    let rounds = ref (List.length m.funcs + 2) in
+    let changed = ref true in
+    while !changed && !rounds > 0 do
+      changed := false;
+      decr rounds;
+      List.iter
+        (fun f ->
+          let s = Hashtbl.find tbl f.f_name in
+          let g = ret_facts ~ctx f in
+          if g <> s.Sm.sm_guarantees then begin
+            Hashtbl.replace tbl f.f_name { s with Sm.sm_guarantees = g };
+            changed := true
+          end)
+        m.funcs
+    done;
+    tbl
+end
+
+(* Random modules with a random in-module call graph: self-recursion,
+   mutual recursion and calls to functions defined later, with guards,
+   loads and stores on parameters in callers and callees, opaque
+   extern calls, and branches whose arms guard different bytes. *)
+let gen_call_module =
+  QCheck.Gen.(
+    let* k = int_range 1 5 in
+    let gen_op =
+      (* 0 load, 1 store, 2 guard, 3 call f<j>, 4 extern call, 5 branch *)
+      let* kind =
+        frequencyl [ (3, 0); (2, 1); (3, 2); (4, 3); (1, 4); (2, 5) ]
+      in
+      let* a = int_bound 3 and* j = int_bound (k - 1) and* c = int_bound 3 in
+      return (kind, a, j, c)
+    in
+    let* bodies = list_repeat k (list_size (int_range 0 6) gen_op) in
+    let* inject = frequency [ (3, return true); (1, return false) ] in
+    let param a = Reg (if a land 1 = 0 then "%p" else "%q") in
+    let b = Kir.Builder.create "calls" in
+    ignore (Kir.Builder.declare_extern b "ext" ~arity:0);
+    ignore (Kir.Builder.declare_extern b guard_sym ~arity:3);
+    List.iteri
+      (fun i ops ->
+        ignore
+          (Kir.Builder.start_func b (Printf.sprintf "f%d" i)
+             ~params:[ ("%p", I64); ("%q", I64) ]
+             ~ret:None);
+        let addr a off =
+          if off = 0 then param a
+          else Kir.Builder.gep b (param a) (Imm (8 * off)) ~scale:1
+        in
+        let rec emit_op (kind, a, j, c) =
+          match kind with
+          | 0 -> ignore (Kir.Builder.load b I64 (addr a (c land 1)))
+          | 1 -> Kir.Builder.store b I32 (Imm 7) (addr a (c land 1))
+          | 2 ->
+            Kir.Builder.emit b
+              (Call
+                 {
+                   dst = None;
+                   callee = guard_sym;
+                   args = [ addr a (c land 1); Imm (4 lsl (c lsr 1)); Imm 3 ];
+                 })
+          | 3 ->
+            Kir.Builder.call_unit b (Printf.sprintf "f%d" j)
+              [ param (a + c); param a ]
+          | 4 -> Kir.Builder.call_unit b "ext" []
+          | _ ->
+            Kir.Builder.if_then_else b (param a)
+              ~then_:(fun () -> emit_op (2, a, j, c))
+              ~else_:(fun () -> emit_op (2, a, j, c lxor 2))
+        in
+        List.iter emit_op ops;
+        Kir.Builder.ret b None)
+      bodies;
+    let m = Kir.Builder.modul b in
+    if inject then
+      ignore
+        (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+    meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+    return m)
+
+let print_module m = Kir.Printer.to_string m
+
+let prop_summaries_match_round_robin =
+  QCheck.Test.make ~name:"worklist summaries equal the round-robin fixpoint"
+    ~count:200
+    (QCheck.make ~print:print_module gen_call_module)
+    (fun m ->
+      let reference = Round_robin.compute m in
+      let s = Sm.compute m in
+      List.for_all
+        (fun f ->
+          let r = Hashtbl.find reference f.f_name in
+          Sm.is_pure s f.f_name = r.Sm.sm_pure
+          && Sm.guarantees s f.f_name = r.Sm.sm_guarantees)
+        m.funcs)
+
+let prop_shared_solutions_match_fresh =
+  QCheck.Test.make
+    ~name:"certifier census from shared solutions equals fresh solves"
+    ~count:200
+    (QCheck.make ~print:print_module gen_call_module)
+    (fun m ->
+      let shared =
+        match Analysis.Certify.analyze m with
+        | s -> Ok s.Analysis.Certify.s_funcs
+        | exception Analysis.Dataflow.Diverged why -> Error why
+      in
+      let fresh =
+        let s = Sm.compute m in
+        let ctx = Sm.ctx s in
+        match
+          List.map
+            (fun f ->
+              Analysis.Certify.analyze_func ~ctx ~exempt_stack:false
+                ~guard_reads:true ~guard_writes:true (Sm.solve_func ~ctx f))
+            m.funcs
+        with
+        | fs -> Ok fs
+        | exception Analysis.Dataflow.Diverged why -> Error why
+      in
+      shared = fresh)
+
+let cert_of m = Option.get (meta_find m Passes.Attest.meta_cert)
+
+(* the optimizer carries solutions across its analyses and hands its
+   final proof to the certify pass; that proof must be the one a
+   from-scratch certification derives *)
+let prop_optimizer_proof_matches_fresh =
+  QCheck.Test.make
+    ~name:"optimizer's carried-over proof equals a from-scratch proof"
+    ~count:200
+    (QCheck.make ~print:print_module gen_call_module)
+    (fun m ->
+      meta_find m Passes.Guard_injection.meta_guarded <> Some "true"
+      ||
+      (ignore (Analysis.Optimize.run m);
+       let handed =
+         match Analysis.Certify.run m with
+         | _ -> Ok (cert_of m)
+         | exception Passes.Pass.Pass_failed (_, reason) -> Error reason
+       in
+       handed = Analysis.Certify.certificate m))
+
+(* ---------- one proof per compile: the certify pass's hand-off ---------- *)
+
+
+(* keep the digest, doctor the census: every per-function field (the
+   only ones with commas) claims a different count *)
+let forge_census cert =
+  String.split_on_char ';' cert
+  |> List.map (fun field ->
+         match String.index_opt field '=' with
+         | Some i when String.contains field ',' ->
+           String.sub field 0 (i + 1) ^ "9,9,9,9"
+         | _ -> field)
+  |> String.concat ";"
+
+let fresh_driver () =
+  Nic.Driver_gen.generate ~module_scale:6 ~with_rogue:false ()
+
+let test_handoff_planted_cert () =
+  (* a certificate that arrives with the input module is never trusted,
+     even when its digest names the final body *)
+  let check_route name ~build ~finish =
+    let reference = build () in
+    finish reference;
+    let genuine = cert_of reference in
+    let forged = forge_census genuine in
+    checkb (name ^ ": forgery differs") true (forged <> genuine);
+    let m = build () in
+    meta_set m Passes.Attest.meta_cert forged;
+    finish m;
+    Alcotest.(check string) (name ^ ": fresh certificate") genuine (cert_of m);
+    checkb (name ^ ": validates") true (Analysis.Certify.validate m = Ok ())
+  in
+  check_route "compile O_none" ~build:fresh_driver ~finish:(fun m ->
+      ignore (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_none m));
+  check_route "reoptimize O_basic"
+    ~build:(fun () ->
+      let m = fresh_driver () in
+      ignore (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_none m);
+      m)
+    ~finish:(fun m ->
+      ignore (Passes.Pipeline.reoptimize ~opt:Passes.Pipeline.O_basic m))
+
+let test_handoff_extensions_recertify () =
+  (* passes between the optimizer and the certify pass change the
+     module; the certificate must be the from-scratch one either way *)
+  List.iter
+    (fun (name, guard_cfi, guard_intrinsics, strict) ->
+      let m = Nic.Driver_gen.generate ~module_scale:6 ~with_rogue:false () in
+      ignore
+        (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_aggressive ~guard_cfi
+           ~guard_intrinsics ~strict m);
+      match Analysis.Certify.certificate m with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok cert -> Alcotest.(check string) name cert (cert_of m))
+    [
+      ("no extension", false, false, false);
+      ("guard-cfi", true, false, false);
+      ("guard-intrinsics", false, true, false);
+      ("strict + guard-cfi", true, false, true);
+    ]
+
+let test_handoff_validate_after_compile () =
+  let m = compiled_driver_at ~opt:Passes.Pipeline.O_aggressive () in
+  checkb "validates" true (Analysis.Certify.validate m = Ok ());
+  meta_set m Passes.Attest.meta_cert (forge_census (cert_of m));
+  checkb "doctored census caught" true
+    (Analysis.Certify.validate m = Error Analysis.Certify.Cert_mismatch)
+
+let test_handoff_one_shot () =
+  let m = compiled_driver_at ~opt:Passes.Pipeline.O_aggressive () in
+  let n = List.length m.funcs in
+  let solves f =
+    let s0 = Sm.solve_count () in
+    let r = f () in
+    (Sm.solve_count () - s0, r)
+  in
+  let pass () = Analysis.Certify.run m in
+  let offer () = ignore (Analysis.Optimize.run m) in
+  (* the optimizer's proof is reused once, and only by the pass *)
+  offer ();
+  let k, _ = solves (fun () -> Analysis.Certify.certificate m) in
+  checkb "certify proves from scratch" true (k >= n);
+  let k, r = solves (fun () -> Analysis.Certify.validate m) in
+  checkb "validate proves from scratch" true (k >= n && r = Ok ());
+  let k, _ = solves pass in
+  checki "pass reuses the offer" 0 k;
+  checkb "reused certificate is the fresh one" true
+    (Analysis.Certify.certificate m = Ok (cert_of m));
+  let k, _ = solves pass in
+  checkb "slot is one-shot" true (k >= n);
+  (* an analysis input changed after the offer *)
+  offer ();
+  meta_set m Passes.Guard_injection.meta_guard_reads "false";
+  let k, _ = solves pass in
+  checkb "meta change recomputes" true (k >= n);
+  checkb "recomputed certificate" true
+    (Analysis.Certify.certificate m = Ok (cert_of m));
+  meta_set m Passes.Guard_injection.meta_guard_reads "true";
+  (* the body changed after the offer: a deleted guard is refused *)
+  offer ();
+  checkb "guard deleted" true (delete_nth_guard m 0);
+  match pass () with
+  | _ -> Alcotest.fail "unguarded module certified from a stale offer"
+  | exception Passes.Pass.Pass_failed ("certify", _) -> ()
+
+(* ---------- compile-output golden ---------- *)
+
+(* Hash of the with-meta printed module (certificate and signature
+   included) and the pass remarks. The recorded hashes pin compile
+   output byte for byte: optimizer and certifier changes that claim to
+   leave proofs alone must keep them. *)
+let compile_hash ~opt m =
+  let remarks = Passes.Pipeline.compile ~opt m in
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (Kir.Printer.to_string ~with_meta:true m);
+  List.iter
+    (fun (name, (r : Passes.Pass.result)) ->
+      Printf.bprintf b "%s changed=%b\n" name r.Passes.Pass.changed;
+      List.iter (fun (k, v) -> Printf.bprintf b "  %s=%s\n" k v) r.remarks)
+    remarks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_compiles =
+  let e1000e opt = (opt, fun () -> Nic.Driver_gen.generate ()) in
+  let shape scale txq rxq rogue =
+    ( Passes.Pipeline.O_aggressive,
+      fun () ->
+        Nic.Driver_gen.generate ~module_scale:scale ~with_rogue:rogue
+          ~tx_queues:txq ~rx_queues:rxq () )
+  in
+  [
+    ( "e1000e none",
+      e1000e Passes.Pipeline.O_none,
+      "508c522950ce27fc12dcca629e972340" );
+    ( "e1000e basic",
+      e1000e Passes.Pipeline.O_basic,
+      "7a03e9cdadfff729bb7af6bc257fc184" );
+    ( "e1000e aggressive",
+      e1000e Passes.Pipeline.O_aggressive,
+      "a0b34247fa0727055f84ec21167603cc" );
+    ("shape 8/1/0", shape 8 1 0 false, "ea6bb7fb37a7b1ec02ef3296988970d1");
+    ("shape 8/8/4 rogue", shape 8 8 4 true, "51d8c44ad379f4e03ad64e546a91106a");
+    ("shape 10/1/2", shape 10 1 2 false, "db723230b5b21f31886a4d352724cd94");
+    ( "shape 10/8/1 rogue",
+      shape 10 8 1 true,
+      "4772d3c0427f5c95c06e3c337b87945a" );
+    ("shape 12/1/4", shape 12 1 4 false, "4692bd87bbc6fbeef87698e79b587454");
+    ("shape 12/8/0", shape 12 8 0 false, "bf04bbbb277ddee511fb569bd0a83958");
+    ( "shape 14/1/1 rogue",
+      shape 14 1 1 true,
+      "14e060b1013a49d2583329a856f6c917" );
+    ("shape 14/8/2", shape 14 8 2 false, "becfa8477c195d39775cf7dea7cb7309");
+  ]
+
+let test_compile_golden () =
+  List.iter
+    (fun (name, (opt, gen), expected) ->
+      Alcotest.(check string) name expected (compile_hash ~opt (gen ())))
+    golden_compiles
+
 (* ---------- kir lints ---------- *)
 
 let codes fs = List.map (fun f -> f.Analysis.Kir_lint.code) fs
@@ -697,6 +1094,24 @@ let () =
             test_driver_mutation_sweep_aggressive;
           Alcotest.test_case "validate errors" `Quick test_validate_errors;
         ] );
+      ( "summaries",
+        [
+          QCheck_alcotest.to_alcotest prop_summaries_match_round_robin;
+          QCheck_alcotest.to_alcotest prop_shared_solutions_match_fresh;
+          QCheck_alcotest.to_alcotest prop_optimizer_proof_matches_fresh;
+        ] );
+      ( "handoff",
+        [
+          Alcotest.test_case "planted certificate ignored" `Quick
+            test_handoff_planted_cert;
+          Alcotest.test_case "extensions re-certify" `Quick
+            test_handoff_extensions_recertify;
+          Alcotest.test_case "validate after compile" `Quick
+            test_handoff_validate_after_compile;
+          Alcotest.test_case "one-shot, pass only" `Quick test_handoff_one_shot;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "compile output" `Quick test_compile_golden ] );
       ( "lint",
         [
           Alcotest.test_case "unguarded+unreachable" `Quick
